@@ -2,13 +2,12 @@
 
 #include <algorithm>
 #include <bit>
-#include <cctype>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
-#include <set>
 #include <string>
 
+#include "common/json.h"
 #include "common/logging.h"
 #include "common/status.h"
 #include "common/table.h"
@@ -508,191 +507,7 @@ Status Tracer::WriteChromeTrace(const std::string& path) const {
 
 // --- JsonLint --------------------------------------------------------------
 
-namespace {
-
-/// Recursive-descent RFC 8259 syntax checker (no schema, no value
-/// materialization). Depth-limited so hostile input cannot blow the stack.
-class JsonChecker {
- public:
-  explicit JsonChecker(const std::string& text) : p_(text.data()), end_(p_ + text.size()) {}
-
-  Status Check() {
-    GNNDM_RETURN_IF_ERROR(Value(0));
-    SkipWs();
-    if (p_ != end_) return Fail("trailing characters after JSON value");
-    return Status::Ok();
-  }
-
- private:
-  static constexpr int kMaxDepth = 64;
-
-  Status Fail(const std::string& what) const {
-    return Status::InvalidArgument("json: " + what + " at offset " +
-                                   std::to_string(offset_));
-  }
-
-  void SkipWs() {
-    while (p_ != end_ && (*p_ == ' ' || *p_ == '\t' || *p_ == '\n' ||
-                          *p_ == '\r')) {
-      Advance();
-    }
-  }
-
-  void Advance() {
-    ++p_;
-    ++offset_;
-  }
-
-  bool Consume(char c) {
-    if (p_ != end_ && *p_ == c) {
-      Advance();
-      return true;
-    }
-    return false;
-  }
-
-  Status Literal(const char* word) {
-    for (const char* w = word; *w != '\0'; ++w) {
-      if (p_ == end_ || *p_ != *w) return Fail("bad literal");
-      Advance();
-    }
-    return Status::Ok();
-  }
-
-  /// When `raw` is non-null, receives the key text between the quotes
-  /// with escapes left as written — identical spellings compare equal,
-  /// which is what duplicate detection needs (a writer emitting the same
-  /// key twice emits the same bytes twice).
-  Status String(std::string* raw = nullptr) {
-    if (!Consume('"')) return Fail("expected string");
-    const char* body = p_;
-    while (p_ != end_ && *p_ != '"') {
-      if (static_cast<unsigned char>(*p_) < 0x20) {
-        return Fail("unescaped control character in string");
-      }
-      if (*p_ == '\\') {
-        Advance();
-        if (p_ == end_) return Fail("truncated escape");
-        const char esc = *p_;
-        if (esc == 'u') {
-          Advance();
-          for (int i = 0; i < 4; ++i) {
-            if (p_ == end_ || !std::isxdigit(static_cast<unsigned char>(*p_))) {
-              return Fail("bad \\u escape");
-            }
-            Advance();
-          }
-          continue;
-        }
-        if (esc != '"' && esc != '\\' && esc != '/' && esc != 'b' &&
-            esc != 'f' && esc != 'n' && esc != 'r' && esc != 't') {
-          return Fail("bad escape character");
-        }
-      }
-      Advance();
-    }
-    if (raw != nullptr) raw->assign(body, p_);
-    if (!Consume('"')) return Fail("unterminated string");
-    return Status::Ok();
-  }
-
-  Status Number() {
-    Consume('-');
-    if (p_ == end_ || !std::isdigit(static_cast<unsigned char>(*p_))) {
-      return Fail("expected digit");
-    }
-    if (*p_ == '0') {
-      Advance();
-    } else {
-      while (p_ != end_ && std::isdigit(static_cast<unsigned char>(*p_))) {
-        Advance();
-      }
-    }
-    if (Consume('.')) {
-      if (p_ == end_ || !std::isdigit(static_cast<unsigned char>(*p_))) {
-        return Fail("expected fraction digits");
-      }
-      while (p_ != end_ && std::isdigit(static_cast<unsigned char>(*p_))) {
-        Advance();
-      }
-    }
-    if (p_ != end_ && (*p_ == 'e' || *p_ == 'E')) {
-      Advance();
-      if (p_ != end_ && (*p_ == '+' || *p_ == '-')) Advance();
-      if (p_ == end_ || !std::isdigit(static_cast<unsigned char>(*p_))) {
-        return Fail("expected exponent digits");
-      }
-      while (p_ != end_ && std::isdigit(static_cast<unsigned char>(*p_))) {
-        Advance();
-      }
-    }
-    return Status::Ok();
-  }
-
-  Status Value(int depth) {
-    if (depth > kMaxDepth) return Fail("nesting too deep");
-    SkipWs();
-    if (p_ == end_) return Fail("unexpected end of input");
-    switch (*p_) {
-      case '{': {
-        Advance();
-        SkipWs();
-        if (Consume('}')) return Status::Ok();
-        // RFC 8259 leaves duplicate member names "undefined"; every
-        // consumer of our BENCH_*.json treats objects as maps, so a
-        // duplicate key always means a writer bug — reject it.
-        std::set<std::string> keys;
-        std::string key;
-        for (;;) {
-          SkipWs();
-          GNNDM_RETURN_IF_ERROR(String(&key));
-          if (!keys.insert(key).second) {
-            return Fail("duplicate object key \"" + key + "\"");
-          }
-          SkipWs();
-          if (!Consume(':')) return Fail("expected ':'");
-          GNNDM_RETURN_IF_ERROR(Value(depth + 1));
-          SkipWs();
-          if (Consume(',')) continue;
-          if (Consume('}')) return Status::Ok();
-          return Fail("expected ',' or '}'");
-        }
-      }
-      case '[': {
-        Advance();
-        SkipWs();
-        if (Consume(']')) return Status::Ok();
-        for (;;) {
-          GNNDM_RETURN_IF_ERROR(Value(depth + 1));
-          SkipWs();
-          if (Consume(',')) continue;
-          if (Consume(']')) return Status::Ok();
-          return Fail("expected ',' or ']'");
-        }
-      }
-      case '"':
-        return String();
-      case 't':
-        return Literal("true");
-      case 'f':
-        return Literal("false");
-      case 'n':
-        return Literal("null");
-      default:
-        return Number();
-    }
-  }
-
-  const char* p_;
-  const char* end_;
-  size_t offset_ = 0;
-};
-
-}  // namespace
-
-Status JsonLint(const std::string& text) {
-  return JsonChecker(text).Check();
-}
+Status JsonLint(const std::string& text) { return json::Parse(text, nullptr); }
 
 }  // namespace telemetry
 }  // namespace gnndm

@@ -320,9 +320,9 @@ class ScopedSpan {
   double begin_ = 0.0;
 };
 
-/// Minimal JSON well-formedness check (syntax only, no schema): accepts
-/// exactly the RFC 8259 grammar. Guards every JSON artifact the telemetry
-/// layer writes and is reused by tests/CI.
+/// JSON well-formedness check (syntax only, no schema): json::Parse's
+/// grammar (src/common/json.h), with no value built. Guards every JSON
+/// artifact the telemetry layer writes and is reused by tests/CI.
 [[nodiscard]] Status JsonLint(const std::string& text);
 
 }  // namespace telemetry

@@ -1,12 +1,18 @@
 #include "core/batch_consumer.h"
 
+#include <algorithm>
+
+#include "common/rng.h"
 #include "common/telemetry.h"
 #include "common/timer.h"
 #include "core/attribution.h"
 #include "core/batch_source.h"
 #include "core/costs.h"
+#include "core/metrics.h"
+#include "graph/csr_graph.h"
 #include "graph/dataset.h"
 #include "nn/model.h"
+#include "sampling/neighbor_sampler.h"
 #include "sampling/sampled_subgraph.h"
 #include "tensor/ops.h"
 #include "tensor/tensor.h"
@@ -29,7 +35,7 @@ BatchConsumer::BatchConsumer(const Dataset& dataset,
       num_conv_layers_(num_conv_layers),
       num_mlp_layers_(num_mlp_layers) {}
 
-ConsumeOutcome BatchConsumer::Consume(PreparedBatch& batch,
+ConsumeOutcome BatchConsumer::Consume(const PreparedBatch& batch,
                                       const FeatureCache* cache,
                                       BatchAttribution* attrib) {
   ConsumeOutcome out;
@@ -42,19 +48,12 @@ ConsumeOutcome BatchConsumer::Consume(PreparedBatch& batch,
   out.involved_vertices = sg.TotalVertices();
   out.involved_edges = sg.TotalEdges();
 
-  // --- Data transferring: move input feature rows host -> device. ---
+  // --- Data transferring: the source staged the input rows; account
+  // the modeled cost of moving them host -> device. ---
   {
     TRACE_SPAN("trainer.transfer");
-    if (batch.input_ready) {
-      // Rows were staged by the batch source; only account the cost.
-      out.transfer =
-          transfer_.Cost(sg.input_vertices(), dataset_.features, cache);
-    } else {
-      out.transfer = transfer_.Transfer(sg.input_vertices(),
-                                        dataset_.features, cache,
-                                        batch.input);
-      batch.input_ready = true;
-    }
+    out.transfer =
+        transfer_.Cost(sg.input_vertices(), dataset_.features, cache);
   }
   out.times.data_transfer = out.transfer.TotalSeconds();
   out.times.extract = out.transfer.extract_seconds;
@@ -93,6 +92,30 @@ ConsumeOutcome BatchConsumer::Consume(PreparedBatch& batch,
     attrib->wall_queue_wait = batch.queue_wait_seconds;
   }
   return out;
+}
+
+// gnndm-hot
+void BatchConsumer::Evaluate(const std::vector<VertexId>& vertices,
+                             const NeighborSampler* sampler, Rng& rng,
+                             ClassificationMetrics& metrics) {
+  const uint32_t eval_batch = 1024;
+  for (size_t begin = 0; begin < vertices.size(); begin += eval_batch) {
+    const size_t end = std::min(vertices.size(), begin + eval_batch);
+    eval_seeds_.assign(vertices.begin() + begin, vertices.begin() + end);
+    if (sampler == nullptr) {
+      eval_subgraph_.node_ids.assign(1, eval_seeds_);
+    } else {
+      eval_subgraph_ = sampler->Sample(dataset_.graph, eval_seeds_, rng);
+    }
+    TransferEngine::Gather(eval_subgraph_.input_vertices(), dataset_.features,
+                           eval_input_);
+    const Tensor& logits =
+        model_.Forward(eval_subgraph_, eval_input_, /*train=*/false);
+    ArgmaxRowsInto(logits, eval_preds_);
+    for (size_t i = 0; i < eval_seeds_.size(); ++i) {
+      metrics.Add(eval_preds_[i], dataset_.labels[eval_seeds_[i]]);
+    }
+  }
 }
 
 }  // namespace gnndm

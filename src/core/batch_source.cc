@@ -59,7 +59,6 @@ PreparedBatch ProduceBatch(const CsrGraph& graph,
                            prepared.input);
   }
   if (observe) prepared.gather_seconds = stage_timer.Seconds();
-  prepared.input_ready = true;
   return prepared;
 }
 
@@ -265,7 +264,6 @@ FullBatchSource::FullBatchSource(const CsrGraph& graph,
   batch_.subgraph.node_ids.assign(num_layers + 1, all);
   batch_.subgraph.layers.assign(num_layers, full_layer);
   TransferEngine::Gather(all, features, batch_.input);
-  batch_.input_ready = true;
 }
 
 std::optional<PreparedBatch> FullBatchSource::Next() {

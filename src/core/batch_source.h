@@ -23,10 +23,9 @@ struct PreparedBatch {
   uint32_t index = 0;
   std::vector<VertexId> seeds;
   SampledSubgraph subgraph;
-  /// Input feature rows for subgraph.input_vertices(), staged by the
-  /// source when `input_ready`; otherwise the consumer gathers them.
+  /// Input feature rows for subgraph.input_vertices(), always staged by
+  /// the source.
   Tensor input;
-  bool input_ready = false;
   /// Wall-clock stall attribution (core/attribution.h): producer-side
   /// sample/gather seconds and the consumer's reorder-ring wait for this
   /// batch. Observation only — filled when telemetry is enabled, zero

@@ -1,6 +1,8 @@
 #include "core/trainer.h"
 
 #include <algorithm>
+#include <memory>
+#include <utility>
 
 #include "batch/batch_schedule.h"
 #include "batch/batch_selector.h"
@@ -20,16 +22,13 @@
 #include "nn/model.h"
 #include "nn/optimizer.h"
 #include "partition/metis_partitioner.h"
-#include "sampling/sampled_subgraph.h"
-#include "tensor/ops.h"
-#include "tensor/tensor.h"
 #include "transfer/feature_cache.h"
 #include "transfer/pipeline.h"
 #include "transfer/transfer_engine.h"
 
 namespace gnndm {
 
-Trainer::Trainer(const Dataset& dataset, const TrainerConfig& config)
+TrainerBase::TrainerBase(const Dataset& dataset, const TrainerConfig& config)
     : dataset_(dataset),
       config_(config),
       rng_(config.seed),
@@ -53,7 +52,74 @@ Trainer::Trainer(const Dataset& dataset, const TrainerConfig& config)
   optimizer_ = std::make_unique<Adam>(
       model_->Parameters(), config.learning_rate, /*beta1=*/0.9f,
       /*beta2=*/0.999f, /*epsilon=*/1e-8f, config.weight_decay);
+  transfer_ = MakeTransferEngine(config.transfer, config.device);
+  GNNDM_CHECK(transfer_ != nullptr);
+  consumer_ = std::make_unique<BatchConsumer>(
+      dataset_, config.device, *transfer_, *model_, config.hidden_dim,
+      config.num_conv_layers, config.num_mlp_layers);
+}
 
+FeatureCache TrainerBase::BuildCache(const std::vector<VertexId>& train,
+                                     uint32_t presample_batches,
+                                     uint64_t presample_seed) const {
+  if (config_.cache_policy == "none" || config_.cache_ratio <= 0.0) return {};
+  const auto capacity = static_cast<uint64_t>(
+      config_.cache_ratio * dataset_.graph.num_vertices());
+  if (config_.cache_policy == "degree") {
+    return FeatureCache::DegreeBased(dataset_.graph, capacity);
+  }
+  if (config_.cache_policy == "presample") {
+    Rng presample_rng(presample_seed);
+    return FeatureCache::PreSampling(dataset_.graph, train, sampler_,
+                                     config_.batch_size, presample_batches,
+                                     capacity, presample_rng);
+  }
+  GNNDM_LOG(Warning) << "unknown cache policy '" << config_.cache_policy
+                     << "', running uncached";
+  return {};
+}
+
+std::unique_ptr<BatchSource> TrainerBase::EpochSource(
+    std::vector<std::vector<VertexId>> batches) const {
+  // The per-epoch seed (not the shared rng_) drives all batch sampling,
+  // so the delivered stream is byte-identical whether batches are
+  // prepared inline or by N workers at any prefetch depth — the
+  // pluggable data plane's contract.
+  BatchSourceOptions options;
+  options.workers = config_.loader_workers;
+  options.queue_depth = config_.async_queue_depth;
+  options.seed = config_.seed ^ (0xA51Cull + epoch_);
+  return MakeBatchSource(dataset_.graph, dataset_.features,
+                         std::move(batches),
+                         model_->num_hops() > 0 ? &sampler_ : nullptr,
+                         options);
+}
+
+EpochAttribution TrainerBase::FinishEpoch(
+    const std::vector<BatchAttribution>& batches, double epoch_seconds) {
+  EpochAttribution attribution = AttributeEpoch(
+      epoch_, batches, epoch_seconds, config_.loader_workers);
+  attribution_history_.push_back(attribution);
+  PublishAttributionMetrics(attribution);
+  total_seconds_ += epoch_seconds;
+  ++epoch_;
+  return attribution;
+}
+
+double TrainerBase::Evaluate(const std::vector<VertexId>& vertices) {
+  return EvaluateDetailed(vertices).Accuracy();
+}
+
+ClassificationMetrics TrainerBase::EvaluateDetailed(
+    const std::vector<VertexId>& vertices) {
+  ClassificationMetrics metrics(dataset_.num_classes);
+  consumer_->Evaluate(vertices, model_->num_hops() > 0 ? &sampler_ : nullptr,
+                      rng_, metrics);
+  return metrics;
+}
+
+Trainer::Trainer(const Dataset& dataset, const TrainerConfig& config)
+    : TrainerBase(dataset, config) {
   if (config.batch_selector == "cluster") {
     selector_ = std::make_unique<ClusterBatchSelector>(MetisCluster(
         dataset.graph, config.cluster_count, config.seed ^ 0xC1u));
@@ -69,41 +135,21 @@ Trainer::Trainer(const Dataset& dataset, const TrainerConfig& config)
     schedule_ = std::make_unique<FixedBatchSchedule>(config.batch_size);
   }
 
-  transfer_ = MakeTransferEngine(config.transfer, config.device);
-  GNNDM_CHECK(transfer_ != nullptr);
-  consumer_ = std::make_unique<BatchConsumer>(
-      dataset_, config.device, *transfer_, *model_, config.hidden_dim,
-      config.num_conv_layers, config.num_mlp_layers);
-
-  if (config.cache_policy != "none" && config.cache_ratio > 0.0) {
-    const auto capacity = static_cast<uint64_t>(
-        config.cache_ratio * dataset.graph.num_vertices());
-    if (config.cache_policy == "degree") {
-      cache_ = FeatureCache::DegreeBased(dataset.graph, capacity);
-    } else if (config.cache_policy == "presample") {
-      Rng presample_rng(config.seed ^ 0xCAC4Eu);
-      // Pre-sample roughly two epochs worth of batches (GNNLab runs a
-      // short profiling phase before training).
-      const auto batches_per_epoch = static_cast<uint32_t>(
-          (dataset.split.train.size() + config.batch_size - 1) /
-          std::max<uint32_t>(1, config.batch_size));
-      cache_ = FeatureCache::PreSampling(
-          dataset.graph, dataset.split.train, sampler_, config.batch_size,
-          std::max<uint32_t>(8, 2 * batches_per_epoch), capacity,
-          presample_rng);
-    } else {
-      GNNDM_LOG(Warning) << "unknown cache policy '" << config.cache_policy
-                         << "', running uncached";
-    }
-    has_cache_ = cache_.capacity_rows() > 0;
-  }
+  // Pre-sample roughly two epochs worth of batches (GNNLab runs a short
+  // profiling phase before training).
+  const auto batches_per_epoch = static_cast<uint32_t>(
+      (dataset.split.train.size() + config.batch_size - 1) /
+      std::max<uint32_t>(1, config.batch_size));
+  cache_ = BuildCache(dataset.split.train,
+                      std::max<uint32_t>(8, 2 * batches_per_epoch),
+                      config.seed ^ 0xCAC4Eu);
 }
 
-StageTimes Trainer::ConsumeTrainingBatch(PreparedBatch& batch,
+StageTimes Trainer::ConsumeTrainingBatch(const PreparedBatch& batch,
                                          EpochStats& stats,
                                          BatchAttribution& attrib) {
-  ConsumeOutcome out =
-      consumer_->Consume(batch, has_cache_ ? &cache_ : nullptr, &attrib);
+  ConsumeOutcome out = consumer_->Consume(
+      batch, cache_.capacity_rows() > 0 ? &cache_ : nullptr, &attrib);
   {
     // timer-ok: optimizer wall share for stall attribution (DESIGN.md §14)
     WallTimer opt_timer;
@@ -121,11 +167,6 @@ StageTimes Trainer::ConsumeTrainingBatch(PreparedBatch& batch,
   return out.times;
 }
 
-size_t Trainer::EffectiveLoaderWorkers() const {
-  if (config_.loader_workers > 0) return config_.loader_workers;
-  return config_.async_batch_loading ? 1 : 0;
-}
-
 EpochStats Trainer::TrainEpoch() {
   TRACE_SPAN("trainer.epoch");
   EpochStats stats;
@@ -137,17 +178,7 @@ EpochStats Trainer::TrainEpoch() {
   stage_times.reserve(batches.size());
   std::vector<BatchAttribution> batch_attribs;
   batch_attribs.reserve(batches.size());
-  // One epoch = one BatchSource. The per-epoch seed (not the shared rng_)
-  // drives all batch sampling, so the delivered stream is byte-identical
-  // whether batches are prepared inline or by N workers at any prefetch
-  // depth — the pluggable data plane's contract.
-  BatchSourceOptions source_options;
-  source_options.workers = EffectiveLoaderWorkers();
-  source_options.queue_depth = config_.async_queue_depth;
-  source_options.seed = config_.seed ^ (0xA51Cull + epoch_);
-  std::unique_ptr<BatchSource> source = MakeBatchSource(
-      dataset_.graph, dataset_.features, std::move(batches),
-      model_->num_hops() > 0 ? &sampler_ : nullptr, source_options);
+  std::unique_ptr<BatchSource> source = EpochSource(std::move(batches));
   while (auto prepared = source->Next()) {
     BatchAttribution attrib;
     stage_times.push_back(ConsumeTrainingBatch(*prepared, stats, attrib));
@@ -182,82 +213,14 @@ EpochStats Trainer::TrainEpoch() {
   if (!dataset_.split.train.empty()) {
     stats.train_loss /= static_cast<double>(dataset_.split.train.size());
   }
-  stats.attribution = AttributeEpoch(epoch_, batch_attribs,
-                                     pipeline.total_seconds,
-                                     EffectiveLoaderWorkers());
-  attribution_history_.push_back(stats.attribution);
-  PublishAttributionMetrics(stats.attribution);
-  total_seconds_ += stats.epoch_seconds;
-  ++epoch_;
+  stats.attribution = FinishEpoch(batch_attribs, stats.epoch_seconds);
   return stats;
-}
-
-// gnndm-hot
-double Trainer::EvaluateOn(const std::vector<VertexId>& vertices) {
-  if (vertices.empty()) return 0.0;
-  uint64_t correct = 0;
-  const uint32_t eval_batch = 1024;
-  // Every buffer the per-batch loop needs lives above it and is refilled
-  // in place: eval runs each epoch, and a fresh vector/Tensor per batch
-  // is exactly the per-iteration allocation hot-path-alloc bans.
-  std::vector<VertexId> batch;
-  std::vector<int32_t> preds;
-  SampledSubgraph sg;
-  Tensor input;
-  for (size_t begin = 0; begin < vertices.size(); begin += eval_batch) {
-    const size_t end = std::min(vertices.size(), begin + eval_batch);
-    batch.assign(vertices.begin() + begin, vertices.begin() + end);
-    if (model_->num_hops() == 0) {
-      sg.node_ids.assign(1, batch);
-    } else {
-      sg = sampler_.Sample(dataset_.graph, batch, rng_);
-    }
-    TransferEngine::Gather(sg.input_vertices(), dataset_.features, input);
-    const Tensor& logits = model_->Forward(sg, input, /*train=*/false);
-    ArgmaxRowsInto(logits, preds);
-    for (size_t i = 0; i < batch.size(); ++i) {
-      if (preds[i] == dataset_.labels[batch[i]]) ++correct;
-    }
-  }
-  return static_cast<double>(correct) / static_cast<double>(vertices.size());
-}
-
-double Trainer::Evaluate(const std::vector<VertexId>& vertices) {
-  return EvaluateOn(vertices);
-}
-
-// gnndm-hot
-ClassificationMetrics Trainer::EvaluateDetailed(
-    const std::vector<VertexId>& vertices) {
-  ClassificationMetrics metrics(dataset_.num_classes);
-  const uint32_t eval_batch = 1024;
-  // Reused across batches; see EvaluateOn.
-  std::vector<VertexId> batch;
-  std::vector<int32_t> preds;
-  SampledSubgraph sg;
-  Tensor input;
-  for (size_t begin = 0; begin < vertices.size(); begin += eval_batch) {
-    const size_t end = std::min(vertices.size(), begin + eval_batch);
-    batch.assign(vertices.begin() + begin, vertices.begin() + end);
-    if (model_->num_hops() == 0) {
-      sg.node_ids.assign(1, batch);
-    } else {
-      sg = sampler_.Sample(dataset_.graph, batch, rng_);
-    }
-    TransferEngine::Gather(sg.input_vertices(), dataset_.features, input);
-    const Tensor& logits = model_->Forward(sg, input, /*train=*/false);
-    ArgmaxRowsInto(logits, preds);
-    for (size_t i = 0; i < batch.size(); ++i) {
-      metrics.Add(preds[i], dataset_.labels[batch[i]]);
-    }
-  }
-  return metrics;
 }
 
 std::pair<double, double> Trainer::EvaluateByDegree(
     const std::vector<VertexId>& vertices) {
   DegreeClasses classes = SplitByDegree(dataset_.graph, vertices);
-  return {EvaluateOn(classes.low), EvaluateOn(classes.high)};
+  return {Evaluate(classes.low), Evaluate(classes.high)};
 }
 
 const ConvergenceTracker& Trainer::TrainToConvergence(uint32_t max_epochs,

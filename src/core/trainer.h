@@ -57,13 +57,12 @@ struct TrainerConfig {
   /// Producer workers for the batch data plane: 0 = prepare batches
   /// inline on the training thread, N >= 1 = an AsyncBatchSource with N
   /// background sampler/gather workers — the host-side mechanism behind
-  /// pipeline overlap (DGL/GNNLab dataloader workers). Training output is
-  /// byte-identical at any worker count and queue depth (the BatchSource
-  /// determinism contract), so both are pure throughput knobs.
+  /// pipeline overlap (DGL/GNNLab dataloader workers). Single-worker and
+  /// distributed training alike draw their batches from it, and output
+  /// is byte-identical at any worker count and queue depth (the
+  /// BatchSource determinism contract), so both are pure throughput
+  /// knobs.
   size_t loader_workers = 0;
-  /// Legacy switch: forces at least one producer worker even when
-  /// loader_workers is 0.
-  bool async_batch_loading = false;
   size_t async_queue_depth = 4;
   /// "none", "degree", or "presample".
   std::string cache_policy = "none";
@@ -111,18 +110,14 @@ struct EpochStats {
   EpochAttribution attribution;
 };
 
-/// End-to-end single-worker mini-batch GNN trainer: batch selection →
-/// L-hop sampling → feature transfer (simulated device) → real NN
-/// forward/backward → optimizer step, with per-stage accounting.
-class Trainer {
+/// What Trainer and DistTrainer share. The constructor builds, the same
+/// way for both, everything a TrainerConfig determines: the process-wide
+/// compute-thread count, the sampler, the model and its Adam optimizer,
+/// the transfer engine, and the BatchConsumer tail over them. Both
+/// trainers draw every epoch's batches from one BatchSource
+/// (EpochSource) and evaluate through BatchConsumer::Evaluate.
+class TrainerBase {
  public:
-  /// `dataset` must outlive the trainer.
-  Trainer(const Dataset& dataset, const TrainerConfig& config);
-
-  /// Runs one epoch over the training split; returns its stats and
-  /// appends virtual time to the cumulative clock.
-  EpochStats TrainEpoch();
-
   /// Sampled-inference accuracy over `vertices` (e.g. the val split).
   double Evaluate(const std::vector<VertexId>& vertices);
 
@@ -131,11 +126,6 @@ class Trainer {
   ClassificationMetrics EvaluateDetailed(
       const std::vector<VertexId>& vertices);
 
-  /// Trains until Converged(patience) or `max_epochs`, recording the
-  /// validation trajectory. Returns the tracker.
-  const ConvergenceTracker& TrainToConvergence(uint32_t max_epochs,
-                                               uint32_t patience = 10);
-
   const ConvergenceTracker& tracker() const { return tracker_; }
   /// Per-epoch stall attribution, one entry per TrainEpoch call in order
   /// (feeds the --report table and the steady-state verdict).
@@ -143,6 +133,62 @@ class Trainer {
     return attribution_history_;
   }
   double total_virtual_seconds() const { return total_seconds_; }
+
+ protected:
+  /// `dataset` must outlive the trainer.
+  TrainerBase(const Dataset& dataset, const TrainerConfig& config);
+
+  /// The feature cache config_.cache_policy names, populated from
+  /// `train`; the presample policy profiles `presample_batches` batches
+  /// drawn from Rng(presample_seed). Empty (every row a miss) when
+  /// uncached.
+  FeatureCache BuildCache(const std::vector<VertexId>& train,
+                          uint32_t presample_batches,
+                          uint64_t presample_seed) const;
+
+  /// This epoch's batch plane over `batches`, in consumption order: batch
+  /// i draws from Rng(BatchRngSeed(seed ^ (0xA51C + epoch), i)), prepared
+  /// by config_.loader_workers producers (0 = inline).
+  std::unique_ptr<BatchSource> EpochSource(
+      std::vector<std::vector<VertexId>> batches) const;
+
+  /// Closes an epoch: aggregates `batches` (delivery order) into its
+  /// stall attribution, records and publishes it, and advances the
+  /// virtual clock and the epoch counter.
+  EpochAttribution FinishEpoch(const std::vector<BatchAttribution>& batches,
+                               double epoch_seconds);
+
+  const Dataset& dataset_;
+  TrainerConfig config_;
+  Rng rng_;
+  NeighborSampler sampler_;
+  std::unique_ptr<GnnModel> model_;
+  std::unique_ptr<Optimizer> optimizer_;
+  std::unique_ptr<TransferEngine> transfer_;
+  std::unique_ptr<BatchConsumer> consumer_;
+  ConvergenceTracker tracker_;
+  std::vector<EpochAttribution> attribution_history_;
+  double total_seconds_ = 0.0;
+  uint32_t epoch_ = 0;
+};
+
+/// End-to-end single-worker mini-batch GNN trainer: batch selection →
+/// L-hop sampling → feature transfer (simulated device) → real NN
+/// forward/backward → optimizer step, with per-stage accounting.
+class Trainer : public TrainerBase {
+ public:
+  /// `dataset` must outlive the trainer.
+  Trainer(const Dataset& dataset, const TrainerConfig& config);
+
+  /// Runs one epoch over the training split; returns its stats and
+  /// appends virtual time to the cumulative clock.
+  EpochStats TrainEpoch();
+
+  /// Trains until Converged(patience) or `max_epochs`, recording the
+  /// validation trajectory. Returns the tracker.
+  const ConvergenceTracker& TrainToConvergence(uint32_t max_epochs,
+                                               uint32_t patience = 10);
+
   GnnModel& model() { return *model_; }
   uint32_t epochs_run() const { return epoch_; }
 
@@ -155,30 +201,13 @@ class Trainer {
   /// Consumes one prepared batch through the shared BatchConsumer tail,
   /// steps the optimizer, and folds the outcome into `stats`; `attrib`
   /// receives the batch's stall-attribution record.
-  StageTimes ConsumeTrainingBatch(PreparedBatch& batch, EpochStats& stats,
+  StageTimes ConsumeTrainingBatch(const PreparedBatch& batch,
+                                  EpochStats& stats,
                                   BatchAttribution& attrib);
 
-  /// Producer workers resolved from loader_workers/async_batch_loading.
-  size_t EffectiveLoaderWorkers() const;
-
-  double EvaluateOn(const std::vector<VertexId>& vertices);
-
-  const Dataset& dataset_;
-  TrainerConfig config_;
-  Rng rng_;
-  NeighborSampler sampler_;
-  std::unique_ptr<GnnModel> model_;
-  std::unique_ptr<Optimizer> optimizer_;
   std::unique_ptr<BatchSelector> selector_;
   std::unique_ptr<BatchSizeSchedule> schedule_;
-  std::unique_ptr<TransferEngine> transfer_;
-  std::unique_ptr<BatchConsumer> consumer_;
   FeatureCache cache_;
-  bool has_cache_ = false;
-  ConvergenceTracker tracker_;
-  std::vector<EpochAttribution> attribution_history_;
-  double total_seconds_ = 0.0;
-  uint32_t epoch_ = 0;
 };
 
 }  // namespace gnndm

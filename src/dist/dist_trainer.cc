@@ -1,6 +1,9 @@
 #include "dist/dist_trainer.h"
 
 #include <algorithm>
+#include <memory>
+#include <optional>
+#include <utility>
 
 #include "batch/batch_selector.h"
 #include "common/logging.h"
@@ -32,32 +35,10 @@ DistTrainer::DistTrainer(const Dataset& dataset,
                          const PartitionResult& partition,
                          const TrainerConfig& config,
                          const NetworkModel& network)
-    : dataset_(dataset),
+    : TrainerBase(dataset, config),
       partition_(partition),
-      config_(config),
-      network_(network),
-      sampler_(config.hops),
-      rng_(config.seed) {
+      network_(network) {
   GNNDM_CHECK(partition_.assignment.size() == dataset.graph.num_vertices());
-  ModelConfig model_config;
-  model_config.in_dim = dataset.features.dim();
-  model_config.hidden_dim = config.hidden_dim;
-  model_config.num_classes = dataset.num_classes;
-  model_config.num_conv_layers = config.num_conv_layers;
-  model_config.num_mlp_layers = config.num_mlp_layers;
-  model_config.dropout = config.dropout;
-  model_config.seed = config.seed ^ 0x40DE1u;
-  model_ = MakeModel(config.model, model_config);
-  GNNDM_CHECK(model_ != nullptr);
-  optimizer_ = std::make_unique<Adam>(
-      model_->Parameters(), config.learning_rate, /*beta1=*/0.9f,
-      /*beta2=*/0.999f, /*epsilon=*/1e-8f, config.weight_decay);
-  transfer_ = MakeTransferEngine(config.transfer, config.device);
-  GNNDM_CHECK(transfer_ != nullptr);
-  consumer_ = std::make_unique<BatchConsumer>(
-      dataset_, config.device, *transfer_, *model_, config.hidden_dim,
-      config.num_conv_layers, config.num_mlp_layers);
-
   workers_.resize(partition_.num_parts);
   for (uint32_t p = 0; p < partition_.num_parts; ++p) {
     Worker& w = workers_[p];
@@ -68,20 +49,9 @@ DistTrainer::DistTrainer(const Dataset& dataset,
     w.rng = rng_.Fork();
     // Per-worker GPU feature cache, sized by the global ratio and
     // populated from this worker's own access pattern (SALIENT++ style).
-    if (config.cache_policy != "none" && config.cache_ratio > 0.0 &&
-        !w.local_train.empty()) {
-      const auto capacity = static_cast<uint64_t>(
-          config.cache_ratio * dataset.graph.num_vertices());
-      if (config.cache_policy == "degree") {
-        w.cache = FeatureCache::DegreeBased(dataset.graph, capacity);
-        w.has_cache = true;
-      } else if (config.cache_policy == "presample") {
-        Rng presample_rng(config.seed ^ (0xCAC4Eu + p));
-        w.cache = FeatureCache::PreSampling(
-            dataset.graph, w.local_train, sampler_, config.batch_size,
-            /*presample_batches=*/8, capacity, presample_rng);
-        w.has_cache = true;
-      }
+    if (!w.local_train.empty()) {
+      w.cache = BuildCache(w.local_train, /*presample_batches=*/8,
+                           config.seed ^ (0xCAC4Eu + p));
     }
   }
 }
@@ -92,16 +62,12 @@ bool DistTrainer::IsLocal(VertexId v, uint32_t worker) const {
 }
 
 double DistTrainer::RunWorkerBatch(uint32_t worker,
-                                   const std::vector<VertexId>& batch,
+                                   const PreparedBatch& batch,
                                    DistEpochStats& stats, double& loss_sum,
                                    std::vector<BatchAttribution>& attribs) {
-  Worker& w = workers_[worker];
+  const Worker& w = workers_[worker];
   WorkerStats& ledger = stats.workers[worker];
-
-  PreparedBatch prepared;
-  prepared.seeds = batch;
-  prepared.subgraph = sampler_.Sample(dataset_.graph, batch, w.rng);
-  const SampledSubgraph& sg = prepared.subgraph;
+  const SampledSubgraph& sg = batch.subgraph;
   ledger.sampled_edges += sg.TotalEdges();
   ++ledger.batches;
 
@@ -154,9 +120,8 @@ double DistTrainer::RunWorkerBatch(uint32_t worker,
   // into the shared model; synchronous data parallelism averages them at
   // the round barrier, so no optimizer step here.
   BatchAttribution attrib;
-  ConsumeOutcome out =
-      consumer_->Consume(prepared, w.has_cache ? &w.cache : nullptr,
-                         &attrib);
+  ConsumeOutcome out = consumer_->Consume(
+      batch, w.cache.capacity_rows() > 0 ? &w.cache : nullptr, &attrib);
   // Network time is part of batch preparation in the round math below;
   // attribute it the same way so the verdict sees the same split.
   attrib.sample += network_seconds;
@@ -195,15 +160,27 @@ DistEpochStats DistTrainer::TrainEpoch() {
 
   // Each worker selects an epoch of batches over its local train set.
   RandomBatchSelector selector;
-  std::vector<std::vector<std::vector<VertexId>>> batches(
+  std::vector<std::vector<std::vector<VertexId>>> selected(
       partition_.num_parts);
   size_t max_rounds = 0;
   for (uint32_t p = 0; p < partition_.num_parts; ++p) {
     if (workers_[p].local_train.empty()) continue;
-    batches[p] = selector.SelectEpoch(workers_[p].local_train,
-                                      config_.batch_size, workers_[p].rng);
-    max_rounds = std::max(max_rounds, batches[p].size());
+    selected[p] = selector.SelectEpoch(workers_[p].local_train,
+                                       config_.batch_size, workers_[p].rng);
+    max_rounds = std::max(max_rounds, selected[p].size());
   }
+  // One BatchSource prepares every worker's batches, interleaved
+  // round-major: the order the rounds below consume them in. Moving the
+  // seeds out leaves each selected[p].size() intact for the rounds.
+  std::vector<std::vector<VertexId>> batches;
+  for (size_t round = 0; round < max_rounds; ++round) {
+    for (uint32_t p = 0; p < partition_.num_parts; ++p) {
+      if (round < selected[p].size()) {
+        batches.push_back(std::move(selected[p][round]));
+      }
+    }
+  }
+  std::unique_ptr<BatchSource> source = EpochSource(std::move(batches));
 
   double loss_sum = 0.0;
   std::vector<BatchAttribution> batch_attribs;
@@ -211,13 +188,14 @@ DistEpochStats DistTrainer::TrainEpoch() {
     double round_max = 0.0;
     uint32_t active = 0;
     for (uint32_t p = 0; p < partition_.num_parts; ++p) {
-      if (round >= batches[p].size()) continue;
+      if (round >= selected[p].size()) continue;
+      std::optional<PreparedBatch> prepared = source->Next();
+      GNNDM_CHECK(prepared.has_value());
       round_max = std::max(round_max,
-                           RunWorkerBatch(p, batches[p][round], stats,
-                                          loss_sum, batch_attribs));
+                           RunWorkerBatch(p, *prepared, stats, loss_sum,
+                                          batch_attribs));
       ++active;
     }
-    if (active == 0) continue;
     // Average the summed gradients over the participating workers, then
     // apply one synchronous update.
     const float scale = 1.0f / static_cast<float>(active);
@@ -258,36 +236,8 @@ DistEpochStats DistTrainer::TrainEpoch() {
     stats.train_loss =
         loss_sum / static_cast<double>(dataset_.split.train.size());
   }
-  // Workers sample directly on the driver thread (no BatchSource), so
-  // loader_workers is 0 here: the loader-starved verdict cannot apply.
-  stats.attribution = AttributeEpoch(epoch_, batch_attribs,
-                                     stats.epoch_seconds,
-                                     /*loader_workers=*/0);
-  attribution_history_.push_back(stats.attribution);
-  PublishAttributionMetrics(stats.attribution);
-  total_seconds_ += stats.epoch_seconds;
-  ++epoch_;
+  stats.attribution = FinishEpoch(batch_attribs, stats.epoch_seconds);
   return stats;
-}
-
-double DistTrainer::Evaluate(const std::vector<VertexId>& vertices) {
-  if (vertices.empty()) return 0.0;
-  uint64_t correct = 0;
-  const uint32_t eval_batch = 1024;
-  for (size_t begin = 0; begin < vertices.size(); begin += eval_batch) {
-    const size_t end = std::min(vertices.size(), begin + eval_batch);
-    std::vector<VertexId> batch(vertices.begin() + begin,
-                                vertices.begin() + end);
-    SampledSubgraph sg = sampler_.Sample(dataset_.graph, batch, rng_);
-    Tensor input;
-    TransferEngine::Gather(sg.input_vertices(), dataset_.features, input);
-    const Tensor& logits = model_->Forward(sg, input, /*train=*/false);
-    std::vector<int32_t> preds = ArgmaxRows(logits);
-    for (size_t i = 0; i < batch.size(); ++i) {
-      if (preds[i] == dataset_.labels[batch[i]]) ++correct;
-    }
-  }
-  return static_cast<double>(correct) / static_cast<double>(vertices.size());
 }
 
 const ConvergenceTracker& DistTrainer::TrainToConvergence(

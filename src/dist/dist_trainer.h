@@ -2,24 +2,19 @@
 #define GNNDM_DIST_DIST_TRAINER_H_
 
 #include <cstdint>
-#include <memory>
 #include <unordered_set>
 #include <vector>
 
 #include "common/rng.h"
 #include "core/attribution.h"
-#include "core/batch_consumer.h"
+#include "core/batch_source.h"
 #include "core/convergence.h"
 #include "core/trainer.h"
 #include "dist/network_model.h"
 #include "graph/csr_graph.h"
 #include "graph/dataset.h"
-#include "nn/model.h"
-#include "nn/optimizer.h"
 #include "partition/partitioner.h"
-#include "sampling/neighbor_sampler.h"
 #include "transfer/feature_cache.h"
-#include "transfer/transfer_engine.h"
 
 namespace gnndm {
 
@@ -42,10 +37,13 @@ struct DistEpochStats {
   double epoch_seconds = 0.0;
   std::vector<WorkerStats> workers;
   /// Stall attribution over every worker batch this epoch, in execution
-  /// order (round-major). Network seconds fold into the sample stage —
-  /// the same `prep = batch_prep + network` the round math uses. Workers
-  /// sample directly (no BatchSource), so the loader-starved verdict
-  /// never applies here.
+  /// order (round-major, the order the epoch's one BatchSource delivers
+  /// them in). Network seconds fold into the sample stage — the same
+  /// `prep = batch_prep + network` the round math uses. The wall fields
+  /// come from the BatchSource like a single-worker epoch's, so with
+  /// loader_workers > 0 the verdict can be loader-starved, and with
+  /// telemetry on a batch-prep verdict splits into sample- vs
+  /// gather-bound.
   EpochAttribution attribution;
 };
 
@@ -55,24 +53,17 @@ struct DistEpochStats {
 /// batch composition, the effect behind Fig 7 / Table 4); remote L-hop
 /// expansions and feature fetches are charged to the network model, with
 /// PaGraph-style halos counting as local. Gradients are averaged across
-/// workers every round, matching DistDGL-style training.
-class DistTrainer {
+/// workers every round, matching DistDGL-style training. Every worker's
+/// batches come from the epoch's one BatchSource, as a Trainer's do.
+class DistTrainer : public TrainerBase {
  public:
   DistTrainer(const Dataset& dataset, const PartitionResult& partition,
               const TrainerConfig& config, const NetworkModel& network = {});
 
   DistEpochStats TrainEpoch();
-  double Evaluate(const std::vector<VertexId>& vertices);
   const ConvergenceTracker& TrainToConvergence(uint32_t max_epochs,
                                                uint32_t patience = 10);
 
-  const ConvergenceTracker& tracker() const { return tracker_; }
-  /// Per-epoch stall attribution, one entry per TrainEpoch call in order
-  /// (feeds the --report table and the steady-state verdict).
-  const std::vector<EpochAttribution>& attribution_history() const {
-    return attribution_history_;
-  }
-  double total_virtual_seconds() const { return total_seconds_; }
   uint32_t num_workers() const { return partition_.num_parts; }
 
  private:
@@ -83,35 +74,23 @@ class DistTrainer {
     /// training with caching); built from the worker's own training
     /// vertices when config.cache_policy is set.
     FeatureCache cache;
-    bool has_cache = false;
+    /// Draws the worker's batch selection; sampling draws from the
+    /// BatchSource's per-batch streams.
     Rng rng{0};
   };
 
   bool IsLocal(VertexId v, uint32_t worker) const;
-  /// Trains one batch on `worker`; accumulates into the shared model's
-  /// gradients (no step), appends the batch's stall-attribution record to
-  /// `attribs`, and returns the worker's virtual batch time.
-  double RunWorkerBatch(uint32_t worker, const std::vector<VertexId>& batch,
+  /// Trains one prepared batch on `worker`: charges its remote traffic to
+  /// the network model, accumulates into the shared model's gradients (no
+  /// step), appends the batch's stall-attribution record to `attribs`,
+  /// and returns the worker's virtual batch time.
+  double RunWorkerBatch(uint32_t worker, const PreparedBatch& batch,
                         DistEpochStats& stats, double& loss_sum,
                         std::vector<BatchAttribution>& attribs);
 
-  const Dataset& dataset_;
   PartitionResult partition_;
-  TrainerConfig config_;
   NetworkModel network_;
-  NeighborSampler sampler_;
-  std::unique_ptr<GnnModel> model_;
-  std::unique_ptr<Optimizer> optimizer_;
-  std::unique_ptr<TransferEngine> transfer_;
-  /// Shared pipeline tail (transfer accounting + NN step): one consumer
-  /// serves every worker, each passing its own cache.
-  std::unique_ptr<BatchConsumer> consumer_;
   std::vector<Worker> workers_;
-  Rng rng_;
-  ConvergenceTracker tracker_;
-  std::vector<EpochAttribution> attribution_history_;
-  double total_seconds_ = 0.0;
-  uint32_t epoch_ = 0;
 };
 
 }  // namespace gnndm

@@ -28,35 +28,24 @@ struct TransferStats {
 };
 
 /// Moves a batch's input feature rows host→device. The data path is real
-/// (rows are gathered into `out`, the tensor the NN consumes); only the
-/// PCIe/DMA timing is simulated per the DeviceModel. Rows present in
-/// `cache` cost nothing to move — they already reside in GPU memory.
+/// (Gather fills the tensor the NN consumes, done by the BatchSource
+/// producer); only the PCIe/DMA timing is simulated per the DeviceModel,
+/// by Cost. Rows present in `cache` cost nothing to move — they already
+/// reside in GPU memory.
 class TransferEngine {
  public:
   virtual ~TransferEngine() = default;
 
-  /// Gathers features[v] for every v in `vertices` into `out` (row i of
-  /// `out` = features of vertices[i]) and returns the modeled cost.
-  /// `cache` may be null (no caching).
-  TransferStats Transfer(const std::vector<VertexId>& vertices,
-                         const FeatureMatrix& features,
-                         const FeatureCache* cache, Tensor& out) const {
-    Gather(vertices, features, out);
-    return Cost(vertices, features, cache);
-  }
-
   /// Accounting only: the modeled cost of moving these rows, without
-  /// touching any data. Used when the rows were already staged (e.g. by
-  /// a BatchSource producer worker).
+  /// touching any data. `cache` may be null (no caching).
   virtual TransferStats Cost(const std::vector<VertexId>& vertices,
                              const FeatureMatrix& features,
                              const FeatureCache* cache) const = 0;
 
   virtual std::string name() const = 0;
 
-  /// Functional gather of feature rows into a dense tensor (the values
-  /// must land in `out` regardless of which engine moved them). Public so
-  /// evaluation paths can assemble inputs without cost accounting.
+  /// Functional gather of feature rows into a dense tensor: row i of
+  /// `out` = features of vertices[i], whichever engine moved them.
   static void Gather(const std::vector<VertexId>& vertices,
                      const FeatureMatrix& features, Tensor& out);
 };

@@ -1,7 +1,7 @@
 // Tests for per-batch stall attribution (core/attribution.h): verdict
 // logic on synthetic records, the bit-exact reconciliation contract with
-// EpochStats, and the loader wait-accounting invariants across source
-// kinds (inline / 1 worker / 4 workers).
+// EpochStats, the loader wait-accounting invariants across source kinds
+// (inline / 1 worker / 4 workers), and distributed epochs' wall split.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -11,7 +11,10 @@
 #include "common/telemetry_names.h"
 #include "core/attribution.h"
 #include "core/trainer.h"
+#include "dist/dist_trainer.h"
 #include "graph/dataset.h"
+#include "partition/hash_partitioner.h"
+#include "partition/partitioner.h"
 #include "sampling/neighbor_sampler.h"
 #include "transfer/pipeline.h"
 
@@ -222,6 +225,22 @@ TEST_F(AttributionTrainerTest, WaitAccountingReconcilesAcrossSources) {
       EXPECT_GE(occupancy.Value(), 0);
     }
   }
+  telemetry::SetEnabled(false);
+}
+
+// Distributed epochs draw their batches from the BatchSource too, so the
+// producer-side wall split reaches their attribution and a batch-prep
+// verdict can split into sample- vs gather-bound.
+TEST_F(AttributionTrainerTest, DistributedEpochObservesSampleAndGatherWall) {
+  telemetry::SetEnabled(true);
+  if (!telemetry::Enabled()) GTEST_SKIP() << "telemetry compiled out";
+  PartitionResult partition =
+      HashPartitioner().Partition({dataset_.graph, dataset_.split}, 4, 1);
+  DistTrainer trainer(dataset_, partition, SmallConfig());
+  const EpochAttribution& a = trainer.TrainEpoch().attribution;
+  EXPECT_GT(a.batches, 0u);
+  EXPECT_GT(a.wall_sample, 0.0);
+  EXPECT_GT(a.wall_gather, 0.0);
   telemetry::SetEnabled(false);
 }
 

@@ -81,7 +81,6 @@ TEST_F(BatchSourceTest, InlineDeliversEveryBatchOnceInOrder) {
   while (auto batch = source->Next()) {
     EXPECT_EQ(batch->index, expected);
     EXPECT_EQ(batch->seeds, batches_[expected]);
-    EXPECT_TRUE(batch->input_ready);
     EXPECT_EQ(batch->input.rows(), batch->subgraph.input_vertices().size());
     ++expected;
   }
@@ -181,7 +180,7 @@ TEST_F(BatchSourceTest, FullBatchSourceDeliversWholeGraphOnce) {
   EXPECT_EQ(batch->subgraph.layers[0].neighbors.size(),
             dataset_.graph.num_edges());
   EXPECT_EQ(batch->input.rows(), n);
-  EXPECT_TRUE(batch->input_ready);
+  EXPECT_EQ(batch->input.rows(), batch->subgraph.input_vertices().size());
   EXPECT_FALSE(source.Next().has_value());
 }
 

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "common/flags.h"
+#include "common/json.h"
 #include "common/rng.h"
 #include "common/status.h"
 #include "common/table.h"
@@ -250,6 +251,39 @@ TEST(FlagsTest, ParsesKeyValueAndBools) {
   EXPECT_DOUBLE_EQ(flags.GetDouble("rate", 0.0), 0.25);
   EXPECT_TRUE(flags.GetBool("verbose", false));
   EXPECT_EQ(flags.GetInt("missing", -1), -1);
+}
+
+// json::Parse builds what JsonLint only checks: one grammar, two modes.
+TEST(JsonParseTest, BuildsValuesInDocumentOrder) {
+  json::Value v;
+  ASSERT_TRUE(json::Parse(
+      R"({"n": -1.5e3, "s": "a\tb\u00e9", "b": false, "z": null,
+          "arr": [1, true, {"k": "v"}]})", &v).ok());
+  ASSERT_EQ(v.kind, json::Value::Kind::kObject);
+  ASSERT_EQ(v.fields.size(), 5u);
+  EXPECT_EQ(v.fields[0].first, "n");
+  EXPECT_EQ(v.NumberOr("n", 0.0), -1500.0);
+  // Two-character escapes decode; \u escapes are kept as written.
+  EXPECT_EQ(v.StringOr("s", ""), "a\tb\\u00e9");
+  EXPECT_EQ(v.Find("b")->kind, json::Value::Kind::kBool);
+  EXPECT_FALSE(v.Find("b")->boolean);
+  EXPECT_EQ(v.Find("z")->kind, json::Value::Kind::kNull);
+  const json::Value* arr = v.Find("arr");
+  ASSERT_NE(arr, nullptr);
+  ASSERT_EQ(arr->items.size(), 3u);
+  EXPECT_TRUE(arr->items[1].boolean);
+  EXPECT_EQ(arr->items[2].StringOr("k", ""), "v");
+  EXPECT_EQ(v.Find("missing"), nullptr);
+  EXPECT_EQ(v.NumberOr("s", 7.0), 7.0);  // wrong kind falls back
+}
+
+TEST(JsonParseTest, BuildingRejectsWhatCheckingRejects) {
+  for (const char* doc : {"1-2", "1.2.3", "-", "\"\x01\"", "\"\\uZZZZ\"",
+                          R"({"a": 1, "a": 2})"}) {
+    json::Value v;
+    EXPECT_FALSE(json::Parse(doc, &v).ok()) << doc;
+    EXPECT_FALSE(json::Parse(doc, nullptr).ok()) << doc;
+  }
 }
 
 }  // namespace

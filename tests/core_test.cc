@@ -164,7 +164,7 @@ TEST_F(TrainerTest, ClusterSelectorInvolvesFewerVertices) {
 
 TEST_F(TrainerTest, AsyncLoaderPathTrainsEquivalently) {
   TrainerConfig async_config = SmallConfig();
-  async_config.async_batch_loading = true;
+  async_config.loader_workers = 1;
   async_config.async_queue_depth = 3;
   Trainer trainer(dataset_, async_config);
   EpochStats first = trainer.TrainEpoch();
@@ -179,7 +179,7 @@ TEST_F(TrainerTest, AsyncLoaderPathTrainsEquivalently) {
 
 TEST_F(TrainerTest, AsyncLoaderPathIsDeterministic) {
   TrainerConfig config = SmallConfig();
-  config.async_batch_loading = true;
+  config.loader_workers = 1;
   Trainer a(dataset_, config);
   Trainer b(dataset_, config);
   EpochStats ea = a.TrainEpoch();

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "core/convergence.h"
 #include "core/trainer.h"
 #include "dist/dist_trainer.h"
@@ -161,6 +164,65 @@ TEST_F(DistTrainerTest, PerWorkerPipelineShortensEpoch) {
       DistTrainer(dataset_, partition, full).TrainEpoch().epoch_seconds;
   EXPECT_LT(t_bp, t_none);
   EXPECT_LE(t_full, t_bp);
+}
+
+// The BatchSource contract reaches distributed training: one source
+// prepares every worker's batches, so the epoch ledgers and the trained
+// model are bit-identical whether batches are prepared inline or by 1 or
+// 4 producer workers.
+TEST_F(DistTrainerTest, LoaderWorkersAreByteIdentical) {
+  MetisPartitioner metis(MetisMode::kVET);
+  PartitionResult partition = metis.Partition(Input(), 4, 12);
+  struct Run {
+    std::vector<DistEpochStats> epochs;
+    double val_accuracy = 0.0;
+  };
+  auto run = [&](size_t loader_workers) {
+    TrainerConfig config = SmallConfig();
+    config.cache_policy = "presample";
+    config.cache_ratio = 0.2;
+    config.loader_workers = loader_workers;
+    config.async_queue_depth = 2;
+    DistTrainer trainer(dataset_, partition, config);
+    Run out;
+    for (int e = 0; e < 2; ++e) out.epochs.push_back(trainer.TrainEpoch());
+    out.val_accuracy = trainer.Evaluate(dataset_.split.val);
+    return out;
+  };
+  const Run inline_run = run(0);
+  for (size_t loader_workers : {size_t{1}, size_t{4}}) {
+    SCOPED_TRACE("loader_workers=" + std::to_string(loader_workers));
+    const Run async_run = run(loader_workers);
+    ASSERT_EQ(async_run.epochs.size(), inline_run.epochs.size());
+    for (size_t e = 0; e < inline_run.epochs.size(); ++e) {
+      const DistEpochStats& a = inline_run.epochs[e];
+      const DistEpochStats& b = async_run.epochs[e];
+      EXPECT_EQ(a.epoch, b.epoch);
+      EXPECT_EQ(a.train_loss, b.train_loss);
+      EXPECT_EQ(a.epoch_seconds, b.epoch_seconds);
+      ASSERT_EQ(a.workers.size(), b.workers.size());
+      for (size_t w = 0; w < a.workers.size(); ++w) {
+        EXPECT_EQ(a.workers[w].seconds, b.workers[w].seconds) << w;
+        EXPECT_EQ(a.workers[w].remote_feature_bytes,
+                  b.workers[w].remote_feature_bytes) << w;
+        EXPECT_EQ(a.workers[w].remote_structure_bytes,
+                  b.workers[w].remote_structure_bytes) << w;
+        EXPECT_EQ(a.workers[w].batches, b.workers[w].batches) << w;
+        EXPECT_EQ(a.workers[w].sampled_edges, b.workers[w].sampled_edges)
+            << w;
+        EXPECT_EQ(a.workers[w].rows_from_cache, b.workers[w].rows_from_cache)
+            << w;
+      }
+      EXPECT_EQ(a.attribution.batches, b.attribution.batches);
+      EXPECT_EQ(a.attribution.sample, b.attribution.sample);
+      EXPECT_EQ(a.attribution.extract, b.attribution.extract);
+      EXPECT_EQ(a.attribution.load, b.attribution.load);
+      EXPECT_EQ(a.attribution.compute, b.attribution.compute);
+      EXPECT_EQ(a.attribution.pipeline_seconds,
+                b.attribution.pipeline_seconds);
+    }
+    EXPECT_EQ(async_run.val_accuracy, inline_run.val_accuracy);
+  }
 }
 
 TEST_F(DistTrainerTest, SlowNetworkLengthensEpoch) {

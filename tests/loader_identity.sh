@@ -2,7 +2,8 @@
 # End-to-end check of the BatchSource determinism contract: gnndm_train
 # must print byte-identical output whether batches are prepared inline
 # (--loader-workers=0) or by 1/4/8 producer workers at prefetch depths 1
-# and 16. Run by ctest as `loader_cli_identity`.
+# and 16, single-worker and distributed (--workers=4) alike. Run by ctest
+# as `loader_cli_identity`.
 set -euo pipefail
 
 TRAIN_BIN="${1:?usage: loader_identity.sh <path-to-gnndm_train>}"
@@ -25,15 +26,42 @@ run w4_d16 --loader-workers=4 --queue-depth=16
 run w8_d16 --loader-workers=8 --queue-depth=16
 # Compute-thread count composes with loader workers without changing a bit.
 run w4_t4 --loader-workers=4 --queue-depth=8 --threads=4
-# Legacy spelling must route through the same plane.
-run legacy_async --async=1
+
+# Distributed: every simulated worker's batches come from the same plane.
+run dist_baseline --workers=4 --loader-workers=0
+run dist_w0_d1 --workers=4 --loader-workers=0 --queue-depth=1
+run dist_w0_d8 --workers=4 --loader-workers=0 --queue-depth=8
+run dist_w2_d1 --workers=4 --loader-workers=2 --queue-depth=1
+run dist_w2_d8 --workers=4 --loader-workers=2 --queue-depth=8
+run dist_w2_t4 --workers=4 --loader-workers=2 --queue-depth=8 --threads=4
 
 status=0
-for variant in w1_d1 w4_d1 w4_d16 w8_d16 w4_t4 legacy_async; do
+compare() {
+  local baseline="$1" variant="$2"
+  # Only the training lines: the partitioner line carries wall-clock
+  # partition_time, which differs run to run.
+  grep -E '^(epoch|test accuracy)' "${WORKDIR}/${baseline}.out" \
+    > "${WORKDIR}/${baseline}.core"
+  grep -E '^(epoch|test accuracy)' "${WORKDIR}/${variant}.out" \
+    > "${WORKDIR}/${variant}.core"
+  if [[ ! -s "${WORKDIR}/${baseline}.core" ]]; then
+    echo "FAIL: ${baseline} printed no training lines" >&2
+    status=1
+  fi
+  if ! diff -u "${WORKDIR}/${baseline}.core" "${WORKDIR}/${variant}.core"; then
+    echo "FAIL: ${variant} output differs from ${baseline}" >&2
+    status=1
+  fi
+}
+
+for variant in w1_d1 w4_d1 w4_d16 w8_d16 w4_t4; do
   if ! diff -u "${WORKDIR}/baseline.out" "${WORKDIR}/${variant}.out"; then
     echo "FAIL: ${variant} output differs from inline baseline" >&2
     status=1
   fi
+done
+for variant in dist_w0_d1 dist_w0_d8 dist_w2_d1 dist_w2_d8 dist_w2_t4; do
+  compare dist_baseline "${variant}"
 done
 
 if [[ ${status} -eq 0 ]]; then

@@ -544,7 +544,7 @@ TEST_F(ReconciliationTest, FullPipeline) {
 
 TEST_F(ReconciliationTest, AsyncLoaderPath) {
   TrainerConfig config = SmallConfig();
-  config.async_batch_loading = true;
+  config.loader_workers = 1;
   config.async_queue_depth = 2;
   const uint64_t loader_batches_before =
       GetCounter("loader.batches").Value();

@@ -57,7 +57,8 @@ TEST(TransferEngineTest, AllEnginesMoveSameValues) {
     auto engine = MakeTransferEngine(name, device);
     ASSERT_NE(engine, nullptr) << name;
     Tensor out;
-    TransferStats stats = engine->Transfer(vertices, f, nullptr, out);
+    TransferEngine::Gather(vertices, f, out);
+    TransferStats stats = engine->Cost(vertices, f, nullptr);
     EXPECT_EQ(out.rows(), 4u) << name;
     EXPECT_EQ(out.at(1, 0), 50000.0f) << name;
     EXPECT_EQ(stats.rows_requested, 4u) << name;
@@ -70,11 +71,10 @@ TEST(TransferEngineTest, ZeroCopySkipsExtraction) {
   FeatureMatrix f = MakeFeatures(1000, 64);
   std::vector<VertexId> vertices;
   for (VertexId v = 0; v < 500; ++v) vertices.push_back(v * 2);
-  Tensor out;
   ZeroCopyTransfer zero_copy(device);
   ExtractLoadTransfer extract_load(device);
-  TransferStats zc = zero_copy.Transfer(vertices, f, nullptr, out);
-  TransferStats el = extract_load.Transfer(vertices, f, nullptr, out);
+  TransferStats zc = zero_copy.Cost(vertices, f, nullptr);
+  TransferStats el = extract_load.Cost(vertices, f, nullptr);
   EXPECT_EQ(zc.extract_seconds, 0.0);
   EXPECT_GT(el.extract_seconds, 0.0);
   // The paper's §7.3.1 shape: zero-copy beats extract+DMA end to end.
@@ -88,7 +88,8 @@ TEST(TransferEngineTest, CacheHitsCostNothing) {
   FeatureCache cache = FeatureCache::DegreeBased(g, 200);  // cache all
   ZeroCopyTransfer engine(device);
   Tensor out;
-  TransferStats stats = engine.Transfer({1, 2, 3}, f, &cache, out);
+  TransferEngine::Gather({1, 2, 3}, f, out);
+  TransferStats stats = engine.Cost({1, 2, 3}, f, &cache);
   EXPECT_EQ(stats.rows_from_cache, 3u);
   EXPECT_EQ(stats.bytes_moved, 0u);
   EXPECT_EQ(stats.TotalSeconds(), 0.0);
@@ -106,9 +107,8 @@ TEST(TransferEngineTest, HybridDegeneratesToDenseOrSparse) {
   std::vector<VertexId> sparse{0, 1024, 2048, 3072};
 
   HybridTransfer hybrid(device, /*threshold=*/0.5);
-  Tensor out;
-  TransferStats dense_stats = hybrid.Transfer(dense, f, nullptr, out);
-  TransferStats sparse_stats = hybrid.Transfer(sparse, f, nullptr, out);
+  TransferStats dense_stats = hybrid.Cost(dense, f, nullptr);
+  TransferStats sparse_stats = hybrid.Cost(sparse, f, nullptr);
   // Dense block shipped whole: exactly one block of bytes.
   EXPECT_EQ(dense_stats.bytes_moved, 1024u * 256u);
   // Sparse rows shipped individually.

@@ -23,187 +23,14 @@
 #include <vector>
 
 #include "common/flags.h"
+#include "common/json.h"
+#include "common/status.h"
 #include "common/table.h"
 #include "common/telemetry.h"
 #include "core/attribution.h"
 
 namespace gnndm {
 namespace {
-
-// --- Minimal JSON value parser -----------------------------------------
-// The repo's JsonLint validates documents; this parser additionally
-// materializes them. Scoped to what Chrome traces contain (objects,
-// arrays, strings, numbers, bools, null); duplicate keys and trailing
-// garbage are rejected.
-
-struct JsonValue {
-  enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };
-  Kind kind = Kind::kNull;
-  bool boolean = false;
-  double number = 0.0;
-  std::string str;
-  std::vector<JsonValue> items;
-  std::vector<std::pair<std::string, JsonValue>> fields;
-
-  const JsonValue* Find(const std::string& key) const {
-    for (const auto& [k, v] : fields) {
-      if (k == key) return &v;
-    }
-    return nullptr;
-  }
-  double NumberOr(const std::string& key, double fallback) const {
-    const JsonValue* v = Find(key);
-    return v != nullptr && v->kind == Kind::kNumber ? v->number : fallback;
-  }
-  std::string StringOr(const std::string& key,
-                       const std::string& fallback) const {
-    const JsonValue* v = Find(key);
-    return v != nullptr && v->kind == Kind::kString ? v->str : fallback;
-  }
-};
-
-class JsonParser {
- public:
-  explicit JsonParser(const std::string& text) : text_(text) {}
-
-  bool Parse(JsonValue* out) {
-    const bool ok = ParseValue(out);
-    SkipSpace();
-    return ok && pos_ == text_.size();
-  }
-
- private:
-  void SkipSpace() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_]))) {
-      ++pos_;
-    }
-  }
-  bool Consume(char c) {
-    SkipSpace();
-    if (pos_ < text_.size() && text_[pos_] == c) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-  bool ConsumeWord(const char* word) {
-    const size_t n = std::string(word).size();
-    if (text_.compare(pos_, n, word) == 0) {
-      pos_ += n;
-      return true;
-    }
-    return false;
-  }
-  bool ParseString(std::string* out) {
-    if (!Consume('"')) return false;
-    out->clear();
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_++];
-      if (c == '"') return true;
-      if (c == '\\') {
-        if (pos_ >= text_.size()) return false;
-        const char e = text_[pos_++];
-        switch (e) {
-          case '"': out->push_back('"'); break;
-          case '\\': out->push_back('\\'); break;
-          case '/': out->push_back('/'); break;
-          case 'b': out->push_back('\b'); break;
-          case 'f': out->push_back('\f'); break;
-          case 'n': out->push_back('\n'); break;
-          case 'r': out->push_back('\r'); break;
-          case 't': out->push_back('\t'); break;
-          case 'u': {
-            // Trace content is ASCII; decode BMP escapes bytewise enough
-            // for key comparison and pass-through.
-            if (pos_ + 4 > text_.size()) return false;
-            out->append("\\u").append(text_, pos_, 4);
-            pos_ += 4;
-            break;
-          }
-          default: return false;
-        }
-      } else {
-        out->push_back(c);
-      }
-    }
-    return false;
-  }
-  bool ParseValue(JsonValue* out) {
-    SkipSpace();
-    if (pos_ >= text_.size()) return false;
-    const char c = text_[pos_];
-    if (c == '{') return ParseObject(out);
-    if (c == '[') return ParseArray(out);
-    if (c == '"') {
-      out->kind = JsonValue::Kind::kString;
-      return ParseString(&out->str);
-    }
-    if (ConsumeWord("true")) {
-      out->kind = JsonValue::Kind::kBool;
-      out->boolean = true;
-      return true;
-    }
-    if (ConsumeWord("false")) {
-      out->kind = JsonValue::Kind::kBool;
-      out->boolean = false;
-      return true;
-    }
-    if (ConsumeWord("null")) {
-      out->kind = JsonValue::Kind::kNull;
-      return true;
-    }
-    return ParseNumber(out);
-  }
-  bool ParseNumber(JsonValue* out) {
-    const size_t begin = pos_;
-    if (pos_ < text_.size() && text_[pos_] == '-') ++pos_;
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) ||
-            text_[pos_] == '.' || text_[pos_] == 'e' || text_[pos_] == 'E' ||
-            text_[pos_] == '+' || text_[pos_] == '-')) {
-      ++pos_;
-    }
-    if (pos_ == begin) return false;
-    out->kind = JsonValue::Kind::kNumber;
-    out->number = std::strtod(text_.substr(begin, pos_ - begin).c_str(),
-                              nullptr);
-    return true;
-  }
-  bool ParseArray(JsonValue* out) {
-    if (!Consume('[')) return false;
-    out->kind = JsonValue::Kind::kArray;
-    if (Consume(']')) return true;
-    for (;;) {
-      JsonValue item;
-      if (!ParseValue(&item)) return false;
-      out->items.push_back(std::move(item));
-      if (Consume(',')) continue;
-      return Consume(']');
-    }
-  }
-  bool ParseObject(JsonValue* out) {
-    if (!Consume('{')) return false;
-    out->kind = JsonValue::Kind::kObject;
-    SkipSpace();
-    if (Consume('}')) return true;
-    for (;;) {
-      std::string key;
-      SkipSpace();
-      if (!ParseString(&key)) return false;
-      if (!Consume(':')) return false;
-      JsonValue value;
-      if (!ParseValue(&value)) return false;
-      if (out->Find(key) != nullptr) return false;  // duplicate key
-      out->fields.emplace_back(std::move(key), std::move(value));
-      if (Consume(',')) continue;
-      return Consume('}');
-    }
-  }
-
-  const std::string& text_;
-  size_t pos_ = 0;
-};
 
 // --- Trace model --------------------------------------------------------
 
@@ -244,19 +71,22 @@ bool LoadTrace(const std::string& path, TraceData* out,
   std::stringstream buffer;
   buffer << in.rdbuf();
   const std::string text = buffer.str();
-  JsonValue root;
-  if (!JsonParser(text).Parse(&root) ||
-      root.kind != JsonValue::Kind::kObject) {
-    *error = "malformed JSON in " + path;
+  json::Value root;
+  if (Status status = json::Parse(text, &root); !status.ok()) {
+    *error = "malformed JSON in " + path + ": " + status.message();
     return false;
   }
-  const JsonValue* events = root.Find("traceEvents");
-  if (events == nullptr || events->kind != JsonValue::Kind::kArray) {
+  if (root.kind != json::Value::Kind::kObject) {
+    *error = "malformed JSON in " + path + ": not an object";
+    return false;
+  }
+  const json::Value* events = root.Find("traceEvents");
+  if (events == nullptr || events->kind != json::Value::Kind::kArray) {
     *error = "no traceEvents array in " + path;
     return false;
   }
-  for (const JsonValue& e : events->items) {
-    if (e.kind != JsonValue::Kind::kObject) {
+  for (const json::Value& e : events->items) {
+    if (e.kind != json::Value::Kind::kObject) {
       *error = "non-object trace event";
       return false;
     }
@@ -264,7 +94,7 @@ bool LoadTrace(const std::string& path, TraceData* out,
     const std::string ph = e.StringOr("ph", "");
     const auto pid = static_cast<int64_t>(e.NumberOr("pid", 0));
     const auto tid = static_cast<int64_t>(e.NumberOr("tid", 0));
-    const JsonValue* args = e.Find("args");
+    const json::Value* args = e.Find("args");
     if (ph == "M") {
       if (args != nullptr &&
           (e.StringOr("name", "") == "thread_name" ||

@@ -122,9 +122,9 @@ int Main(int argc, char** argv) {
         "--pipeline=none|bp|bp-dt\n"
         "  --cache=none|degree|presample  --cache_ratio=F\n"
         "  --loader-workers=N  batch-producer workers (0 = prepare\n"
-        "                      inline; output is byte-identical at any N)\n"
+        "                      inline; output is byte-identical at any N,\n"
+        "                      single-worker or --workers>1)\n"
         "  --queue-depth=N     prefetch window of the async source\n"
-        "  --async             legacy: force one producer worker\n"
         "  --save=FILE.gnck  --load=FILE.gnck\n"
         "  --workers=N  --partitioner=hash|metis-v|metis-ve|metis-vet|"
         "stream-v|stream-b|edge-hash\n"
@@ -214,7 +214,6 @@ int Main(int argc, char** argv) {
   config.pipeline = ParsePipeline(flags.GetString("pipeline", "none"));
   config.cache_policy = flags.GetString("cache", "none");
   config.cache_ratio = flags.GetDouble("cache_ratio", 0.0);
-  config.async_batch_loading = flags.GetBool("async", false);
   config.loader_workers =
       static_cast<size_t>(flags.GetInt("loader-workers", 0));
   config.async_queue_depth = static_cast<size_t>(flags.GetInt(
