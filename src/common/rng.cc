@@ -1,12 +1,13 @@
 #include "common/rng.h"
 
-#include <algorithm>
 #include <numeric>
+#include <utility>
 
 namespace gnndm {
 
 void Rng::SampleWithoutReplacement(uint32_t n, uint32_t k,
-                                   std::vector<uint32_t>& out) {
+                                   std::vector<uint32_t>& out,
+                                   std::vector<uint8_t>& mark) {
   out.clear();
   if (k >= n) {
     out.resize(n);
@@ -15,21 +16,17 @@ void Rng::SampleWithoutReplacement(uint32_t n, uint32_t k,
   }
   if (k * 3 < n) {
     // Floyd's algorithm, expected O(k) draws. The chosen set is exactly
-    // the picks emitted so far, so membership is a linear scan over
-    // `out` — k is a sampler fanout (single digits to a few dozen), and
-    // the scan beats a hash set on both lookup cost and the per-call
-    // heap allocation it avoids in the sampler's hot hop loop. `j` can
-    // never already be chosen: iteration j is the first time any value
-    // > j-1's range is considered.
+    // the picks emitted so far, marked in `mark`. `j` can never already
+    // be chosen: every earlier pick is below it.
+    if (mark.size() < n) mark.resize(n, 0);
     out.reserve(k);
     for (uint32_t j = n - k; j < n; ++j) {
-      uint32_t t = static_cast<uint32_t>(UniformInt(j + 1));
-      if (std::find(out.begin(), out.end(), t) == out.end()) {
-        out.push_back(t);
-      } else {
-        out.push_back(j);
-      }
+      const uint32_t t = static_cast<uint32_t>(UniformInt(j + 1));
+      const uint32_t pick = mark[t] == 0 ? t : j;
+      mark[pick] = 1;
+      out.push_back(pick);
     }
+    for (uint32_t pick : out) mark[pick] = 0;
     return;
   }
   // Dense case: partial Fisher–Yates over an index array.

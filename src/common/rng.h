@@ -102,13 +102,20 @@ class Rng {
     }
   }
 
-  /// Samples `k` distinct indices from [0, n) in O(k) expected time
-  /// (Floyd's algorithm for small k, partial Fisher–Yates when k ~ n),
-  /// filling `out` — clearing any previous contents and reusing its
-  /// capacity, so hot loops stay allocation-free once warm. The emitted
-  /// order is unspecified. When k >= n fills `out` with all of [0, n).
+  /// Samples `k` distinct indices from [0, n), filling `out` — clearing
+  /// any previous contents and reusing its capacity, so hot loops stay
+  /// allocation-free once warm. The emitted order is unspecified. When
+  /// k >= n fills `out` with all of [0, n).
+  ///
+  /// Floyd's algorithm when 3k < n, in O(k) expected time: membership
+  /// is one lookup in `mark`, a caller-owned array that must be all zero
+  /// on entry. It is grown to n if shorter, and it is all zero again on
+  /// return: only the k picked entries are set, and they are cleared.
+  /// Otherwise a partial Fisher–Yates over an O(n) index array, which
+  /// leaves `mark` alone.
   void SampleWithoutReplacement(uint32_t n, uint32_t k,
-                                std::vector<uint32_t>& out);
+                                std::vector<uint32_t>& out,
+                                std::vector<uint8_t>& mark);
 
   /// Derives an independent child generator; use to hand deterministic
   /// streams to worker threads.

@@ -29,7 +29,8 @@ double SampledClusteringCoefficient(const CsrGraph& graph, VertexId v,
   if (degree < 2) return 0.0;
   if (degree <= max_neighbors) return LocalClusteringCoefficient(graph, v);
   std::vector<uint32_t> picks;
-  rng.SampleWithoutReplacement(degree, max_neighbors, picks);
+  std::vector<uint8_t> mark;
+  rng.SampleWithoutReplacement(degree, max_neighbors, picks, mark);
   uint64_t links = 0;
   for (size_t i = 0; i < picks.size(); ++i) {
     for (size_t j = i + 1; j < picks.size(); ++j) {

@@ -65,10 +65,19 @@ std::vector<uint32_t> HeavyEdgeMatch(const WGraph& g, Rng& rng) {
   return match;
 }
 
+/// Per-run workspace for Coarsen, reused across levels: `slot[cu]` is
+/// coarse vertex cu's index in the row being built, or kNoSlot, and
+/// `row_weight[slot]` is that neighbour's merged edge weight.
+struct CoarsenScratch {
+  static constexpr uint32_t kNoSlot = UINT32_MAX;
+  std::vector<uint32_t> slot;
+  std::vector<uint32_t> row_weight;
+};
+
 /// Contracts matched pairs into a coarser graph; fills `coarse_of` with
 /// each fine vertex's coarse id.
 WGraph Coarsen(const WGraph& g, const std::vector<uint32_t>& match,
-               std::vector<uint32_t>& coarse_of) {
+               std::vector<uint32_t>& coarse_of, CoarsenScratch& scratch) {
   coarse_of.assign(g.n, UINT32_MAX);
   uint32_t next = 0;
   for (uint32_t v = 0; v < g.n; ++v) {
@@ -83,57 +92,57 @@ WGraph Coarsen(const WGraph& g, const std::vector<uint32_t>& match,
   coarse.n = next;
   coarse.nc = g.nc;
   coarse.vweights.assign(static_cast<size_t>(next) * g.nc, 0);
-  for (uint32_t v = 0; v < g.n; ++v) {
-    uint32_t cv = coarse_of[v];
-    if (match[v] != v && match[v] < v) continue;  // count pair once below
-    for (int c = 0; c < g.nc; ++c) {
-      coarse.vweights[static_cast<size_t>(cv) * g.nc + c] += g.vw(v, c);
-      if (match[v] != v) {
-        coarse.vweights[static_cast<size_t>(cv) * g.nc + c] +=
-            g.vw(match[v], c);
-      }
-    }
+  coarse.offsets.assign(next + 1, 0);
+  // Every fine edge that survives contraction lands in one coarse row, so
+  // the fine edge count bounds the coarse one; the level is trimmed to
+  // its exact size below because every level lives until uncoarsening.
+  coarse.adj.reserve(g.adj.size());
+  coarse.eweights.reserve(g.adj.size());
+  if (scratch.slot.size() < next) {
+    scratch.slot.resize(next, CoarsenScratch::kNoSlot);
   }
 
-  // Aggregate edges between coarse vertices: collect per-row (neighbor,
-  // weight) pairs, then sort and merge duplicates so the coarse adjacency
-  // is emitted in neighbor-id order. A hash map here would bake a
-  // different edge permutation into the coarse graph every run.
-  std::vector<std::vector<std::pair<uint32_t, uint32_t>>> nbr_weight(next);
+  // Coarse ids follow the lower-numbered member of each pair, so visiting
+  // those members in order builds the coarse rows in order, each from its
+  // one or two fine rows. Parallel edges merge through `slot`, and the
+  // row's unique neighbor ids are then sorted: the same neighbor-ordered,
+  // merged row a sort of the raw (neighbor, weight) pairs gave.
   for (uint32_t v = 0; v < g.n; ++v) {
-    uint32_t cv = coarse_of[v];
-    for (uint64_t e = g.offsets[v]; e < g.offsets[v + 1]; ++e) {
-      uint32_t cu = coarse_of[g.adj[e]];
-      if (cu == cv) continue;  // intra-pair edge disappears
-      nbr_weight[cv].push_back({cu, g.eweights[e]});
+    const uint32_t partner = match[v];
+    if (partner < v) continue;  // built with its pair's lower member
+    const uint32_t cv = coarse_of[v];
+    for (int c = 0; c < g.nc; ++c) {
+      uint64_t w = g.vw(v, c);
+      if (partner != v) w += g.vw(partner, c);
+      coarse.vweights[static_cast<size_t>(cv) * g.nc + c] = w;
     }
-  }
-  for (uint32_t v = 0; v < next; ++v) {
-    auto& row = nbr_weight[v];
-    std::sort(row.begin(), row.end());
-    size_t out = 0;
-    for (size_t i = 0; i < row.size();) {
-      const uint32_t u = row[i].first;
-      uint32_t w = 0;
-      for (; i < row.size() && row[i].first == u; ++i) w += row[i].second;
-      row[out++] = {u, w};
+    const uint64_t row_begin = coarse.adj.size();
+    scratch.row_weight.clear();
+    for (uint32_t member : {v, partner}) {
+      for (uint64_t e = g.offsets[member]; e < g.offsets[member + 1]; ++e) {
+        const uint32_t cu = coarse_of[g.adj[e]];
+        if (cu == cv) continue;  // intra-pair edge disappears
+        uint32_t& slot = scratch.slot[cu];
+        if (slot == CoarsenScratch::kNoSlot) {
+          slot = static_cast<uint32_t>(scratch.row_weight.size());
+          coarse.adj.push_back(cu);
+          scratch.row_weight.push_back(g.eweights[e]);
+        } else {
+          scratch.row_weight[slot] += g.eweights[e];
+        }
+      }
+      if (partner == v) break;
     }
-    row.resize(out);
-  }
-  coarse.offsets.assign(next + 1, 0);
-  for (uint32_t v = 0; v < next; ++v) {
-    coarse.offsets[v + 1] = coarse.offsets[v] + nbr_weight[v].size();
-  }
-  coarse.adj.resize(coarse.offsets[next]);
-  coarse.eweights.resize(coarse.offsets[next]);
-  for (uint32_t v = 0; v < next; ++v) {
-    uint64_t pos = coarse.offsets[v];
-    for (const auto& [u, w] : nbr_weight[v]) {
-      coarse.adj[pos] = u;
-      coarse.eweights[pos] = w;
-      ++pos;
+    std::sort(coarse.adj.begin() + row_begin, coarse.adj.end());
+    for (uint64_t i = row_begin; i < coarse.adj.size(); ++i) {
+      uint32_t& slot = scratch.slot[coarse.adj[i]];
+      coarse.eweights.push_back(scratch.row_weight[slot]);
+      slot = CoarsenScratch::kNoSlot;
     }
+    coarse.offsets[cv + 1] = coarse.adj.size();
   }
+  coarse.adj.shrink_to_fit();
+  coarse.eweights.shrink_to_fit();
   return coarse;
 }
 
@@ -316,12 +325,13 @@ std::vector<uint32_t> MultilevelPartition(
     TRACE_SPAN("partition.coarsen");
     const uint32_t coarsen_target =
         std::max<uint32_t>(num_parts * options.coarsen_target_per_part, 64);
+    CoarsenScratch scratch;
     while (levels.back().n > coarsen_target &&
            static_cast<int>(levels.size()) < options.max_coarsen_levels) {
       const WGraph& fine = levels.back();
       std::vector<uint32_t> match = HeavyEdgeMatch(fine, rng);
       std::vector<uint32_t> coarse_of;
-      WGraph coarse = Coarsen(fine, match, coarse_of);
+      WGraph coarse = Coarsen(fine, match, coarse_of, scratch);
       if (coarse.n >= fine.n) break;  // matching stalled
       projections.push_back(std::move(coarse_of));
       levels.push_back(std::move(coarse));

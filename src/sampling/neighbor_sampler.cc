@@ -158,7 +158,8 @@ SampledSubgraph NeighborSampler::Sample(const CsrGraph& graph,
         }
       } else {
         if (spec.weighting == NeighborWeighting::kUniform) {
-          rng.SampleWithoutReplacement(degree, k, scratch.picks);
+          rng.SampleWithoutReplacement(degree, k, scratch.picks,
+                                       scratch.mark);
         } else {
           WeightedPicks(graph, nbrs, k, spec.weighting, rng, scratch.keys,
                         scratch.picks);

@@ -23,6 +23,10 @@ struct SamplerScratch {
   VertexRenumberer renumber;
   std::vector<std::pair<double, uint32_t>> keys;
   std::vector<uint32_t> picks;
+  /// Floyd membership marks for Rng::SampleWithoutReplacement, indexed by
+  /// neighbour position: all zero between calls, grown to the largest
+  /// degree sampled.
+  std::vector<uint8_t> mark;
 };
 
 /// How the size of one hop's sampled neighborhood is determined — the two
@@ -115,8 +119,8 @@ class NeighborSampler {
   /// Convenience overload using a thread-local scratch: same results,
   /// zero steady-state allocation, safe to call from any thread. The
   /// scratch keeps two u32 arrays sized to the largest graph sampled on
-  /// that thread alive for the thread's lifetime — the same dense
-  /// workspace the per-sampler scratch used to pin per instance.
+  /// that thread, and a byte array sized to its largest degree, alive
+  /// for the thread's lifetime.
   SampledSubgraph Sample(const CsrGraph& graph,
                          const std::vector<VertexId>& seeds, Rng& rng) const;
 

@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <numeric>
 #include <set>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/flags.h"
@@ -101,8 +103,9 @@ TEST(RngTest, NormalHasRoughlyUnitMoments) {
 TEST(RngTest, SampleWithoutReplacementIsDistinct) {
   Rng rng(13);
   std::vector<uint32_t> picks;
+  std::vector<uint8_t> mark;
   for (uint32_t k : {1u, 5u, 50u, 99u}) {
-    rng.SampleWithoutReplacement(100, k, picks);
+    rng.SampleWithoutReplacement(100, k, picks, mark);
     std::set<uint32_t> unique(picks.begin(), picks.end());
     EXPECT_EQ(unique.size(), k);
     for (uint32_t p : picks) EXPECT_LT(p, 100u);
@@ -112,8 +115,79 @@ TEST(RngTest, SampleWithoutReplacementIsDistinct) {
 TEST(RngTest, SampleWithoutReplacementAllWhenKGeqN) {
   Rng rng(13);
   std::vector<uint32_t> picks;
-  rng.SampleWithoutReplacement(10, 20, picks);
+  std::vector<uint8_t> mark;
+  rng.SampleWithoutReplacement(10, 20, picks, mark);
   EXPECT_EQ(picks.size(), 10u);
+}
+
+/// Reference for Rng::SampleWithoutReplacement: the same three cases,
+/// with Floyd's membership test done by scanning the picks made so far.
+/// The mark array must reproduce it pick for pick and draw for draw.
+void LinearScanSampleWithoutReplacement(Rng& rng, uint32_t n, uint32_t k,
+                                        std::vector<uint32_t>& out) {
+  out.clear();
+  if (k >= n) {
+    out.resize(n);
+    std::iota(out.begin(), out.end(), 0u);
+    return;
+  }
+  if (k * 3 < n) {
+    out.reserve(k);
+    for (uint32_t j = n - k; j < n; ++j) {
+      uint32_t t = static_cast<uint32_t>(rng.UniformInt(j + 1));
+      if (std::find(out.begin(), out.end(), t) == out.end()) {
+        out.push_back(t);
+      } else {
+        out.push_back(j);
+      }
+    }
+    return;
+  }
+  out.resize(n);
+  std::iota(out.begin(), out.end(), 0u);
+  for (uint32_t i = 0; i < k; ++i) {
+    uint32_t j = i + static_cast<uint32_t>(rng.UniformInt(n - i));
+    std::swap(out[i], out[j]);
+  }
+  out.resize(k);
+}
+
+bool AllZero(const std::vector<uint8_t>& mark) {
+  return std::all_of(mark.begin(), mark.end(),
+                     [](uint8_t m) { return m == 0; });
+}
+
+TEST(RngTest, SampleWithoutReplacementMatchesLinearScanFloyd) {
+  std::vector<uint32_t> got;
+  std::vector<uint32_t> want;
+  std::vector<uint32_t> ks;
+  for (uint64_t seed : {1u, 29u, 611u}) {
+    for (uint32_t n = 1; n <= 2000; ++n) {
+      // Every small fanout, the Floyd / Fisher–Yates boundary (3k < n)
+      // and the take-everything boundary (k >= n).
+      ks.clear();
+      for (uint32_t k = 0; k <= 40; ++k) ks.push_back(k);
+      for (uint32_t k : {n / 3, n / 3 + 1, n - 1, n, n + 1}) ks.push_back(k);
+      if (n >= 3) ks.push_back(n / 3 - 1);
+      Rng rng(seed * 7919 + n);
+      Rng reference(seed * 7919 + n);
+      // Odd n hands in a mark array shorter than n, even n an empty one:
+      // both have to grow on the first Floyd call.
+      std::vector<uint8_t> mark(n % 2 == 1 ? n / 2 : 0, 0);
+      for (uint32_t k : ks) {
+        rng.SampleWithoutReplacement(n, k, got, mark);
+        LinearScanSampleWithoutReplacement(reference, n, k, want);
+        ASSERT_EQ(got, want) << "seed " << seed << " n " << n << " k " << k;
+        ASSERT_EQ(rng.Next(), reference.Next())
+            << "seed " << seed << " n " << n << " k " << k;
+        ASSERT_TRUE(AllZero(mark))
+            << "seed " << seed << " n " << n << " k " << k;
+        if (k * 3 < n) {
+          ASSERT_GE(mark.size(), n) << "n " << n << " k " << k;
+        }
+      }
+    }
+  }
 }
 
 TEST(RngTest, ShuffleIsPermutation) {

@@ -181,6 +181,65 @@ TEST(MetisClusterTest, BalancedClustersWithLowCut) {
   EXPECT_LT(static_cast<double>(cut) / cg.graph.num_edges(), 0.5);
 }
 
+/// FNV-1a over an assignment's little-endian bytes, for pinning
+/// partitions across builds.
+uint64_t Fnv1a(const std::vector<uint32_t>& assignment) {
+  uint64_t hash = 14695981039346656037ull;
+  for (uint32_t part : assignment) {
+    for (int byte = 0; byte < 4; ++byte) {
+      hash ^= (part >> (8 * byte)) & 0xFF;
+      hash *= 1099511628211ull;
+    }
+  }
+  return hash;
+}
+
+// The multilevel partitioner's output is pinned, not just checked for
+// determinism within one build: a change to how coarse levels are built
+// must reproduce every partition bit for bit. The graph is large enough
+// to coarsen through many levels, and its hubs give coarse rows many
+// parallel edges to merge. At 2 and 4 parts the VE and VET constraints
+// never block a refinement move here, so those rows repeat Metis-V's.
+TEST(MetisPartitionerTest, AssignmentsArePinned) {
+  struct Pin {
+    MetisMode mode;
+    uint32_t parts;
+    uint64_t hash;
+    uint64_t cut;
+  };
+  const Pin pins[] = {
+      {MetisMode::kV, 2, 0x5e87979ef77b7254ull, 4690},
+      {MetisMode::kV, 4, 0x31b9153a5d780025ull, 12578},
+      {MetisMode::kV, 8, 0xe5e5665f3af4ae76ull, 19440},
+      {MetisMode::kVE, 2, 0x5e87979ef77b7254ull, 4690},
+      {MetisMode::kVE, 4, 0x31b9153a5d780025ull, 12578},
+      {MetisMode::kVE, 8, 0x140ffa63c2855431ull, 19884},
+      {MetisMode::kVET, 2, 0x5e87979ef77b7254ull, 4690},
+      {MetisMode::kVET, 4, 0x31b9153a5d780025ull, 12578},
+      {MetisMode::kVET, 8, 0x305ffd7d8ddbc296ull, 20104},
+  };
+  Workload w(21, 6000);
+  for (const Pin& pin : pins) {
+    MetisPartitioner metis(pin.mode);
+    PartitionResult result = metis.Partition(w.Input(), pin.parts, 17);
+    EXPECT_EQ(Fnv1a(result.assignment), pin.hash)
+        << metis.name() << " x" << pin.parts << std::hex << " hash 0x"
+        << Fnv1a(result.assignment);
+    EXPECT_EQ(result.EdgeCut(w.cg.graph), pin.cut)
+        << metis.name() << " x" << pin.parts;
+  }
+}
+
+TEST(MetisClusterTest, ClustersArePinned) {
+  Workload w(22, 6000);
+  PartitionResult clusters;
+  clusters.num_parts = 40;
+  clusters.assignment = MetisCluster(w.cg.graph, clusters.num_parts, 23);
+  EXPECT_EQ(Fnv1a(clusters.assignment), 0xc7df65e8446944f3ull)
+      << std::hex << "hash 0x" << Fnv1a(clusters.assignment);
+  EXPECT_EQ(clusters.EdgeCut(w.cg.graph), 26967u);
+}
+
 TEST(StreamVPartitionerTest, BalancesTrainVerticesAndFillsHalo) {
   Workload w(11, 1200);
   StreamVPartitioner stream(2);

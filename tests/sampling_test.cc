@@ -136,6 +136,42 @@ TEST(NeighborSamplerTest, DeterministicGivenSameRngSeed) {
   }
 }
 
+// The paper's Table 8 hybrid on a power-law graph: vertices 0-3 are
+// community hubs of degree > 333, so they draw k = ceil(0.3 d) > 100
+// neighbours each. The sample is pinned across builds: a faster pick
+// must make the same picks in the same order.
+TEST(NeighborSamplerTest, HybridSampleOnHubsIsPinned) {
+  CommunityGraph cg = GeneratePowerLawCommunity(4000, 4, 15.0, 2.0, 5);
+  NeighborSampler sampler(
+      {HopSpec::Hybrid(16, 0.3, 32), HopSpec::Hybrid(16, 0.3, 32)});
+  std::vector<VertexId> seeds{0, 1, 2, 3};
+  for (VertexId v = 4; v < 4000; v += 61) seeds.push_back(v);
+  Rng rng(12);
+  SampledSubgraph sg = sampler.Sample(cg.graph, seeds, rng);
+  CheckInvariants(sg, seeds);
+  const SampleLayer& outer = sg.layers[1];
+  for (uint32_t i = 0; i < 4; ++i) {
+    ASSERT_GT(outer.offsets[i + 1] - outer.offsets[i], 100u) << "hub " << i;
+  }
+  uint64_t hash = 14695981039346656037ull;
+  auto mix = [&hash](const std::vector<uint32_t>& values) {
+    for (uint32_t value : values) {
+      for (int byte = 0; byte < 4; ++byte) {
+        hash ^= (value >> (8 * byte)) & 0xFF;
+        hash *= 1099511628211ull;
+      }
+    }
+  };
+  for (const std::vector<VertexId>& ids : sg.node_ids) mix(ids);
+  for (const SampleLayer& layer : sg.layers) {
+    mix({layer.num_src, layer.num_dst});
+    mix(layer.offsets);
+    mix(layer.neighbors);
+  }
+  EXPECT_EQ(sg.TotalEdges(), 14620u);
+  EXPECT_EQ(hash, 0xbd5d2e1f85a03f17ull) << std::hex << "hash 0x" << hash;
+}
+
 TEST(NeighborSamplerTest, DeduplicatesSharedNeighbors) {
   // Two seeds sharing all neighbors: the shared vertices must appear once
   // (the paper's V7 example).
