@@ -5,12 +5,12 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <vector>
 
+#include "common/json.h"
 #include "common/telemetry.h"
 
 namespace gnndm {
@@ -33,7 +33,7 @@ constexpr size_t kPathCapacity = 512;
 struct Event {
   std::atomic<const char*> name{nullptr};
   std::atomic<int64_t> t_ns{0};
-  std::atomic<int64_t> value{-1};
+  std::atomic<int64_t> batch{-1};
   std::atomic<uint32_t> kind{0};
 };
 
@@ -73,14 +73,6 @@ struct EnvInit {
 };
 EnvInit g_env_init;
 
-int64_t NowNs() {
-  // Raw steady_clock rather than WallTimer: event timestamps, nothing
-  // fed back into training (determinism contract in the header).
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
 /// Claims a ring slot for the calling thread; -1 = dropped (pool full).
 int ThreadSlot() {
   thread_local int slot = [] {
@@ -91,43 +83,14 @@ int ThreadSlot() {
 }
 
 const char* KindName(uint32_t kind) {
-  switch (static_cast<EventKind>(kind)) {
-    case EventKind::kSpanBegin:
-      return "begin";
-    case EventKind::kSpanEnd:
-      return "end";
-    case EventKind::kCounter:
-      return "counter";
-    case EventKind::kMark:
-      return "mark";
-  }
-  return "?";
-}
-
-/// Span/counter names are `subsystem.name` literals, but escape anyway so
-/// the dump is well-formed JSON for any static string.
-std::string JsonEscape(const char* s) {
-  std::string out;
-  for (; s != nullptr && *s != '\0'; ++s) {
-    const char c = *s;
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-      out += buf;
-    } else {
-      out += c;
-    }
-  }
-  return out;
+  return static_cast<EventKind>(kind) == EventKind::kSpanBegin ? "begin"
+                                                                : "end";
 }
 
 struct MergedEvent {
   int thread = 0;
   int64_t t_ns = 0;
-  int64_t value = -1;
+  int64_t batch = -1;
   uint32_t kind = 0;
   const char* name = nullptr;
 };
@@ -148,7 +111,7 @@ std::vector<MergedEvent> CollectEvents() {
       m.thread = static_cast<int>(t);
       m.name = e.name.load(std::memory_order_relaxed);
       m.t_ns = e.t_ns.load(std::memory_order_relaxed);
-      m.value = e.value.load(std::memory_order_relaxed);
+      m.batch = e.batch.load(std::memory_order_relaxed);
       m.kind = e.kind.load(std::memory_order_relaxed);
       if (m.name != nullptr) merged.push_back(m);
     }
@@ -166,7 +129,7 @@ void SetEnabled(bool enabled) {
   internal::g_enabled.store(enabled, std::memory_order_relaxed);
 }
 
-void Record(EventKind kind, const char* name, int64_t value) {
+void Record(EventKind kind, const char* name, int64_t batch, int64_t t_ns) {
   if (!Enabled() || name == nullptr) return;
   const int slot = ThreadSlot();
   if (slot < 0) return;
@@ -174,17 +137,11 @@ void Record(EventKind kind, const char* name, int64_t value) {
   const uint64_t head = ring.head.load(std::memory_order_relaxed);
   Event& e = ring.events[head % kRingCapacity];
   e.name.store(name, std::memory_order_relaxed);
-  e.t_ns.store(NowNs(), std::memory_order_relaxed);
-  e.value.store(value, std::memory_order_relaxed);
+  e.t_ns.store(t_ns, std::memory_order_relaxed);
+  e.batch.store(batch, std::memory_order_relaxed);
   e.kind.store(static_cast<uint32_t>(kind), std::memory_order_relaxed);
   ring.head.store(head + 1, std::memory_order_release);
-  if (value >= 0 && kind != EventKind::kCounter) {
-    ring.last_batch.store(value, std::memory_order_relaxed);
-  }
-}
-
-void SetBatchIndex(int64_t batch) {
-  Record(EventKind::kMark, "batch", batch);
+  if (batch >= 0) ring.last_batch.store(batch, std::memory_order_relaxed);
 }
 
 void SetPostMortemPath(const std::string& path) {
@@ -199,7 +156,7 @@ std::string PostMortemPath() {
 
 std::string DumpJson(const std::string& reason) {
   std::string out = "{\n  \"reason\": \"";
-  out += JsonEscape(reason.c_str());
+  out += json::Escape(reason);
   out += "\",\n  \"threads\": [";
   const uint32_t threads = std::min<uint32_t>(
       g_claimed.load(std::memory_order_acquire), kMaxThreads);
@@ -218,8 +175,8 @@ std::string DumpJson(const std::string& reason) {
     out += i == 0 ? "\n" : ",\n";
     out += "    {\"thread\": " + std::to_string(e.thread) + ", \"t_ns\": " +
            std::to_string(e.t_ns) + ", \"kind\": \"" + KindName(e.kind) +
-           "\", \"name\": \"" + JsonEscape(e.name) + "\", \"value\": " +
-           std::to_string(e.value) + "}";
+           "\", \"name\": \"" + json::Escape(e.name) + "\", \"batch\": " +
+           std::to_string(e.batch) + "}";
   }
   out += "\n  ],\n  \"metrics\": ";
   // Best-effort: a check can fire while the calling thread already holds
@@ -290,11 +247,11 @@ void SignalSafeDump(int signo) {
       const char* name = e.name.load(std::memory_order_relaxed);
       if (name == nullptr) continue;
       emit("%s\n    {\"thread\": %u, \"t_ns\": %lld, \"kind\": \"%s\", "
-           "\"name\": \"%s\", \"value\": %lld}",
+           "\"name\": \"%s\", \"batch\": %lld}",
            first ? "" : ",", t,
            static_cast<long long>(e.t_ns.load(std::memory_order_relaxed)),
            KindName(e.kind.load(std::memory_order_relaxed)), name,
-           static_cast<long long>(e.value.load(std::memory_order_relaxed)));
+           static_cast<long long>(e.batch.load(std::memory_order_relaxed)));
       first = false;
     }
   }

@@ -8,10 +8,11 @@
 namespace gnndm {
 namespace flight_recorder {
 
-/// Always-on crash flight recorder: every thread keeps the last
-/// kRingCapacity pipeline events (span begin/end, batch markers, counter
-/// samples) in a fixed ring so a GNNDM_CHECK failure or fatal signal can
-/// dump "what was the pipeline doing" to a post-mortem file.
+/// Always-on crash flight recorder: every thread keeps its last
+/// kRingCapacity span begin/end events in a fixed ring so a GNNDM_CHECK
+/// failure or fatal signal can dump "what was the pipeline doing" to a
+/// post-mortem file. telemetry::ScopedSpan is its only writer and hands
+/// it the span's own clock readings, so the recorder reads no clock.
 ///
 /// Design constraints (DESIGN.md §14):
 ///  - Lock-free and allocation-free on the record path: rings live in a
@@ -31,8 +32,6 @@ namespace flight_recorder {
 enum class EventKind : uint32_t {
   kSpanBegin = 0,
   kSpanEnd = 1,
-  kCounter = 2,
-  kMark = 3,
 };
 
 namespace internal {
@@ -46,17 +45,13 @@ inline bool Enabled() {
 }
 void SetEnabled(bool enabled);
 
-/// Records one event into the calling thread's ring. `name` must have
-/// static storage duration. `value` is the batch index for span events
-/// (-1 when not batch-scoped) or the sampled value for kCounter. Never
-/// allocates, never blocks; silently drops once more than kMaxThreads
-/// distinct threads have recorded.
-void Record(EventKind kind, const char* name, int64_t value = -1);
-
-/// Convenience batch marker: records kMark("batch") and refreshes the
-/// ring's last-seen batch index (also refreshed by any span event whose
-/// value is >= 0).
-void SetBatchIndex(int64_t batch);
+/// Records one span event into the calling thread's ring: `name` must
+/// have static storage duration, `batch` is the span's batch index (-1
+/// when not batch-scoped; an index >= 0 also becomes the ring's
+/// last-seen batch), and `t_ns` is the span's telemetry::SteadyNowNs()
+/// reading. Never allocates, never blocks; silently drops once more than
+/// kMaxThreads distinct threads have recorded.
+void Record(EventKind kind, const char* name, int64_t batch, int64_t t_ns);
 
 /// Post-mortem destination. Empty path disables dumping (the default
 /// unless GNNDM_POSTMORTEM is set). The path is copied into a fixed

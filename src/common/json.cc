@@ -1,6 +1,8 @@
 #include "common/json.h"
 
 #include <cctype>
+#include <cmath>
+#include <cstdio>
 #include <cstdlib>
 #include <set>
 #include <string>
@@ -116,7 +118,15 @@ class Parser {
             }
             Advance();
           }
-          if (decoded != nullptr) decoded->append(escape, p_);
+          if (decoded != nullptr) {
+            const long code = std::strtol(std::string(escape + 2, p_).c_str(),
+                                          nullptr, 16);
+            if (code < 0x80) {
+              decoded->push_back(static_cast<char>(code));
+            } else {
+              decoded->append(escape, p_);
+            }
+          }
           continue;
         }
         switch (*p_) {
@@ -248,6 +258,47 @@ class Parser {
 Status Parse(const std::string& text, Value* out) {
   if (out != nullptr) *out = Value{};
   return Parser(text).Run(out);
+}
+
+std::string Escape(const std::string& s) {
+  std::string out;
+  out.reserve(s.size());
+  for (const char c : s) {
+    switch (c) {
+      case '"':
+        out += "\\\"";
+        break;
+      case '\\':
+        out += "\\\\";
+        break;
+      case '\n':
+        out += "\\n";
+        break;
+      case '\t':
+        out += "\\t";
+        break;
+      case '\r':
+        out += "\\r";
+        break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof(buf), "\\u%04x",
+                        static_cast<unsigned>(static_cast<unsigned char>(c)));
+          out += buf;
+        } else {
+          out += c;
+        }
+    }
+  }
+  return out;
+}
+
+std::string Number(double v) {
+  if (!std::isfinite(v)) return "0";
+  char buf[40];
+  std::snprintf(buf, sizeof(buf), "%.9g", v);
+  return buf;
 }
 
 }  // namespace json

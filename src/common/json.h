@@ -34,9 +34,19 @@ struct Value {
 /// member name in one object is an error (every consumer of our JSON
 /// treats objects as maps, so a duplicate always means a writer bug), and
 /// so is nesting deeper than 64. With `out` null the text is only
-/// checked and no value is built. String escapes decode, except \uXXXX,
-/// which is kept as written.
+/// checked and no value is built. String escapes decode, except a
+/// \uXXXX above U+007F, which is kept as written.
 [[nodiscard]] Status Parse(const std::string& text, Value* out);
+
+/// The repo's one string escaper: `s` as the body of a JSON string
+/// literal (quotes not included). `"` and `\` get a backslash, \n \t \r
+/// their two-character escapes, and every other control character
+/// \u00XX, so Parse decodes the result back to `s`.
+std::string Escape(const std::string& s);
+
+/// The repo's one number formatter: `v` printed "%.9g", or "0" for an
+/// infinity or NaN, which JSON cannot spell.
+std::string Number(double v);
 
 }  // namespace json
 }  // namespace gnndm

@@ -221,21 +221,4 @@ void ParallelFor2D(
   });
 }
 
-void ParallelForShards(size_t n, size_t min_shard,
-                       FunctionRef<void(size_t, size_t)> body) {
-  if (n == 0) return;
-  min_shard = std::max<size_t>(1, min_shard);
-  size_t shards = std::min(ComputeThreads(), n / min_shard);
-  if (shards <= 1) {
-    body(0, n);
-    return;
-  }
-  const size_t shard = (n + shards - 1) / shards;
-  shards = (n + shard - 1) / shard;
-  RunChunks(shards, [&body, n, shard](size_t s) {
-    const size_t begin = s * shard;
-    body(begin, std::min(n, begin + shard));
-  });
-}
-
 }  // namespace gnndm

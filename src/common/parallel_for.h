@@ -68,15 +68,6 @@ void ParallelFor2D(
     size_t rows, size_t cols, size_t row_tile, size_t col_tile,
     FunctionRef<void(size_t, size_t, size_t, size_t)> body);
 
-/// Runs body(begin, end) over at most ComputeThreads() contiguous shards
-/// of [0, n), each at least `min_shard` long (except possibly the last).
-/// For scatter-style kernels where every shard re-scans a shared input
-/// and applies only the updates landing in its own output slice: the
-/// shard count — unlike ParallelFor's chunk count — never exceeds the
-/// thread count, bounding the redundant scan work.
-void ParallelForShards(size_t n, size_t min_shard,
-                       FunctionRef<void(size_t, size_t)> body);
-
 }  // namespace gnndm
 
 #endif  // GNNDM_COMMON_PARALLEL_FOR_H_

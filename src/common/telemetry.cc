@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cmath>
-#include <cstdio>
 #include <fstream>
 #include <string>
 
@@ -29,54 +27,6 @@ uint32_t ThreadShard() {
   thread_local const uint32_t shard =
       next.fetch_add(1, std::memory_order_relaxed) % Counter::kShards;
   return shard;
-}
-
-int64_t SteadyNowNs() {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-/// Escapes `s` for inclusion inside a JSON string literal.
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-/// Formats a double as a JSON number (JSON has no inf/nan tokens).
-std::string JsonNum(double v) {
-  if (!std::isfinite(v)) return "0";
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.9g", v);
-  return buf;
 }
 
 }  // namespace
@@ -275,7 +225,7 @@ std::string MetricsRegistry::ToJsonLocked() const {
   for (const auto& [name, c] : counters_) {
     out += first ? "\n" : ",\n";
     first = false;
-    out += "    \"" + JsonEscape(name) +
+    out += "    \"" + json::Escape(name) +
            "\": " + std::to_string(c->Value());
   }
   out += "\n  },\n  \"gauges\": {";
@@ -283,7 +233,7 @@ std::string MetricsRegistry::ToJsonLocked() const {
   for (const auto& [name, g] : gauges_) {
     out += first ? "\n" : ",\n";
     first = false;
-    out += "    \"" + JsonEscape(name) +
+    out += "    \"" + json::Escape(name) +
            "\": " + std::to_string(g->Value());
   }
   out += "\n  },\n  \"histograms\": {";
@@ -291,14 +241,16 @@ std::string MetricsRegistry::ToJsonLocked() const {
   for (const auto& [name, h] : histograms_) {
     out += first ? "\n" : ",\n";
     first = false;
-    out += "    \"" + JsonEscape(name) + "\": {\"count\": " +
-           std::to_string(h->Count()) + ", \"sum\": " + JsonNum(h->Sum()) +
-           ", \"p50\": " + JsonNum(h->Quantile(0.5)) +
-           ", \"p90\": " + JsonNum(h->Quantile(0.9)) +
-           ", \"p99\": " + JsonNum(h->Quantile(0.99)) + ", \"bounds\": [";
+    out += "    \"" + json::Escape(name) + "\": {\"count\": " +
+           std::to_string(h->Count()) +
+           ", \"sum\": " + json::Number(h->Sum()) +
+           ", \"p50\": " + json::Number(h->Quantile(0.5)) +
+           ", \"p90\": " + json::Number(h->Quantile(0.9)) +
+           ", \"p99\": " + json::Number(h->Quantile(0.99)) +
+           ", \"bounds\": [";
     for (size_t i = 0; i < h->bounds().size(); ++i) {
       if (i > 0) out += ", ";
-      out += JsonNum(h->bounds()[i]);
+      out += json::Number(h->bounds()[i]);
     }
     out += "], \"buckets\": [";
     for (size_t i = 0; i <= h->bounds().size(); ++i) {
@@ -380,10 +332,10 @@ void Tracer::Start() {
 
 void Tracer::Stop() { active_.store(false, std::memory_order_release); }
 
-double Tracer::WallNow() const {
-  const int64_t t0 = t0_ns_.load(std::memory_order_acquire);
-  if (t0 == 0) return 0.0;
-  return static_cast<double>(SteadyNowNs() - t0) * 1e-9;
+double Tracer::SinceStart(int64_t steady_ns) const {
+  return static_cast<double>(steady_ns -
+                             t0_ns_.load(std::memory_order_acquire)) *
+         1e-9;
 }
 
 void Tracer::AddWallSpan(const char* name, double begin_s, double dur_s,
@@ -411,7 +363,7 @@ void Tracer::AddCounterSample(const char* name, double value) {
   TraceEvent e;
   e.name = name;
   e.domain = ClockDomain::kWall;
-  e.ts = WallNow();
+  e.ts = SinceStart(SteadyNowNs());
   e.track = buffer.track;
   e.counter = true;
   e.value = value;
@@ -472,15 +424,16 @@ std::string Tracer::ToChromeJson() const {
     if (e.counter) {
       // Chrome counter sample: the value timeline (e.g. reorder-ring
       // occupancy) renders as a stacked area track in Perfetto.
-      out += "  {\"name\": \"" + JsonEscape(e.name) +
+      out += "  {\"name\": \"" + json::Escape(e.name) +
              "\", \"cat\": \"counter\", \"ph\": \"C\", \"ts\": " +
-             JsonNum(e.ts * 1e6) + ", \"pid\": " + (wall ? "1" : "2") +
+             json::Number(e.ts * 1e6) + ", \"pid\": " + (wall ? "1" : "2") +
              ", \"tid\": " + std::to_string(e.track) +
-             ", \"args\": {\"value\": " + JsonNum(e.value) + "}";
+             ", \"args\": {\"value\": " + json::Number(e.value) + "}";
     } else {
-      out += "  {\"name\": \"" + JsonEscape(e.name) + "\", \"cat\": \"" +
+      out += "  {\"name\": \"" + json::Escape(e.name) + "\", \"cat\": \"" +
              (wall ? "wall" : "virtual") + "\", \"ph\": \"X\", \"ts\": " +
-             JsonNum(e.ts * 1e6) + ", \"dur\": " + JsonNum(e.dur * 1e6) +
+             json::Number(e.ts * 1e6) +
+             ", \"dur\": " + json::Number(e.dur * 1e6) +
              ", \"pid\": " + (wall ? "1" : "2") +
              ", \"tid\": " + std::to_string(e.track);
       if (e.batch >= 0) {

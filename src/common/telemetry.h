@@ -27,6 +27,9 @@ namespace telemetry {
 ///    wall clock (real CPU work) or the simulated VirtualClock timeline
 ///    (device/pipeline), and serializes them to Chrome trace-event JSON
 ///    loadable in chrome://tracing or https://ui.perfetto.dev;
+///  - ScopedSpan, the one timer of a pipeline stage: its two clock
+///    readings feed the tracer, the crash flight recorder and the stage's
+///    stall-attribution field;
 ///  - aligned-table / JSON renderers for end-of-run reporting.
 ///
 /// Metric names follow `subsystem.name` (e.g. `transfer.bytes`,
@@ -52,6 +55,14 @@ bool Enabled();
 /// Flips the process-wide telemetry switch (default: on).
 void SetEnabled(bool enabled);
 #endif
+
+/// Nanoseconds on the steady clock: the one clock behind every wall span,
+/// flight-recorder event and trace counter sample.
+inline int64_t SteadyNowNs() {
+  return std::chrono::duration_cast<std::chrono::nanoseconds>(
+             std::chrono::steady_clock::now().time_since_epoch())
+      .count();
+}
 
 /// Lock-free double accumulator built on a uint64 bit-cast CAS loop, so it
 /// works on toolchains without std::atomic<double>::fetch_add and stays
@@ -215,8 +226,9 @@ struct TraceEvent {
 
 /// Records spans into per-thread buffers while active. Use the singleton:
 /// `Tracer::Get().Start()` before the workload, `WriteChromeTrace()` after.
-/// Recording when inactive is a no-op (and TRACE_SPAN then costs two
-/// relaxed loads). Start() clears previously recorded events.
+/// Recording when inactive is a no-op (a TRACE_SPAN then feeds only the
+/// flight recorder and its sink). Start() clears previously recorded
+/// events.
 class Tracer {
  public:
   static Tracer& Get();
@@ -225,8 +237,8 @@ class Tracer {
   void Stop();
   bool active() const { return active_.load(std::memory_order_acquire); }
 
-  /// Seconds of wall time since Start() (0 when not started).
-  double WallNow() const;
+  /// A SteadyNowNs() reading as trace time: seconds since Start().
+  double SinceStart(int64_t steady_ns) const;
 
   /// Records a wall-domain span [begin_s, begin_s + dur_s] on the calling
   /// thread's track. No-op when inactive.
@@ -239,7 +251,7 @@ class Tracer {
   void AddVirtualSpan(const char* name, double begin_s, double dur_s,
                       uint32_t lane, int64_t batch = -1) GNNDM_EXCLUDES(mu_);
 
-  /// Records a wall-domain counter sample ("C" event) at WallNow() on the
+  /// Records a wall-domain counter sample ("C" event) now, on the
   /// calling thread's track — e.g. the reorder-ring occupancy timeline
   /// that gnndm_traceq reconstructs. No-op when inactive.
   void AddCounterSample(const char* name, double value) GNNDM_EXCLUDES(mu_);
@@ -277,36 +289,49 @@ class Tracer {
   std::vector<std::unique_ptr<ThreadBuffer>> buffers_ GNNDM_GUARDED_BY(mu_);
 };
 
-/// RAII wall-clock span: captures the begin time at construction and
-/// records the complete event at scope exit. Constructing while the tracer
-/// is inactive records nothing into the trace and allocates nothing.
-///
-/// Every span additionally drops begin/end events into the crash flight
-/// recorder (common/flight_recorder.h) — independent of the tracer, so a
-/// post-mortem shows the last spans of each thread even in runs that
-/// never started tracing. The recorder path is lock-free and
-/// allocation-free; names are string literals, satisfying its
-/// static-storage contract.
+/// RAII wall-clock span, and the only timer of a pipeline stage. It
+/// reads SteadyNowNs() once at construction and once at scope exit, and
+/// those two readings are all of the stage's timing:
+///  - the flight recorder's begin/end events (common/flight_recorder.h),
+///    recorded whenever the recorder is on, so a post-mortem shows the
+///    last spans of each thread even in runs that never traced;
+///  - the tracer's wall span, while telemetry is on and the tracer runs;
+///  - `*sink`, which receives the span's seconds at scope exit — the
+///    same double as the trace event's duration — and is written only
+///    while telemetry is on. Stall attribution's wall fields are sinks.
+/// With all three off the span reads no clock. It never allocates
+/// outside the tracer, and names must be string literals (the recorder
+/// keeps the pointer).
 class ScopedSpan {
  public:
-  explicit ScopedSpan(const char* name, int64_t batch = -1)
-      : name_(name),
-        batch_(batch),
-        active_(Enabled() && Tracer::Get().active()) {
-    if (active_) begin_ = Tracer::Get().WallNow();
-    if (flight_recorder::Enabled()) {
+  explicit ScopedSpan(const char* name, int64_t batch = -1,
+                      double* sink = nullptr)
+      : name_(name), batch_(batch) {
+    if (Enabled()) {
+      sink_ = sink;
+      traced_ = Tracer::Get().active();
+    }
+    recorded_ = flight_recorder::Enabled();
+    if (sink_ == nullptr && !traced_ && !recorded_) return;
+    begin_ns_ = SteadyNowNs();
+    if (recorded_) {
       flight_recorder::Record(flight_recorder::EventKind::kSpanBegin, name_,
-                              batch_);
+                              batch_, begin_ns_);
     }
   }
   ~ScopedSpan() {
-    if (active_) {
+    if (sink_ == nullptr && !traced_ && !recorded_) return;
+    const int64_t end_ns = SteadyNowNs();
+    const double seconds = static_cast<double>(end_ns - begin_ns_) * 1e-9;
+    if (sink_ != nullptr) *sink_ = seconds;
+    if (traced_) {
       Tracer& tracer = Tracer::Get();
-      tracer.AddWallSpan(name_, begin_, tracer.WallNow() - begin_, batch_);
+      tracer.AddWallSpan(name_, tracer.SinceStart(begin_ns_), seconds,
+                         batch_);
     }
-    if (flight_recorder::Enabled()) {
+    if (recorded_) {
       flight_recorder::Record(flight_recorder::EventKind::kSpanEnd, name_,
-                              batch_);
+                              batch_, end_ns);
     }
   }
 
@@ -316,8 +341,10 @@ class ScopedSpan {
  private:
   const char* name_;
   int64_t batch_;
-  bool active_;
-  double begin_ = 0.0;
+  double* sink_ = nullptr;
+  bool traced_ = false;
+  bool recorded_ = false;
+  int64_t begin_ns_ = 0;
 };
 
 /// JSON well-formedness check (syntax only, no schema): json::Parse's
@@ -331,8 +358,9 @@ class ScopedSpan {
 #define GNNDM_TELEMETRY_CONCAT2(a, b) a##b
 #define GNNDM_TELEMETRY_CONCAT(a, b) GNNDM_TELEMETRY_CONCAT2(a, b)
 
-/// Scoped wall-clock span: TRACE_SPAN("trainer.sample") or
-/// TRACE_SPAN("trainer.nn", batch_index).
+/// Scoped wall-clock span: TRACE_SPAN("trainer.epoch"),
+/// TRACE_SPAN("trainer.transfer", batch_index), or with a sink for the
+/// seconds, TRACE_SPAN("trainer.nn", batch_index, &record.wall_compute).
 #define TRACE_SPAN(...)                                      \
   ::gnndm::telemetry::ScopedSpan GNNDM_TELEMETRY_CONCAT(     \
       gnndm_scoped_span_, __LINE__)(__VA_ARGS__)

@@ -17,18 +17,25 @@ int64_t PerMille(double part, double total) {
   return static_cast<int64_t>(1000.0 * part / total);
 }
 
-/// The virtual-stage argmax behind every non-starved verdict. `wall_*`
-/// refine a batch-prep win into sample- vs gather-bound when observed.
-Bottleneck VirtualArgmax(double prep, double transfer, double compute,
-                         double wall_sample, double wall_gather) {
-  // Tie priority prep > transfer > compute: >= keeps the paper's
-  // batch-preparation default when stages are equal (e.g. all zero).
-  if (prep >= transfer && prep >= compute) {
-    return wall_gather > wall_sample ? Bottleneck::kGatherBound
-                                     : Bottleneck::kSampleBound;
-  }
-  if (transfer >= compute) return Bottleneck::kTransferBound;
-  return Bottleneck::kComputeBound;
+/// The consumer's wall time: reorder-ring wait, NN compute and the
+/// optimizer step — the denominator of loader starvation.
+double ConsumerWall(const EpochAttribution& e) {
+  return e.wall_queue_wait + e.wall_compute + e.wall_optimizer;
+}
+
+/// Adds the nine stage seconds of `from` (a batch record or an epoch
+/// total) into `into` with plain +=.
+template <typename Stages>
+void AddStages(const Stages& from, EpochAttribution& into) {
+  into.sample += from.sample;
+  into.extract += from.extract;
+  into.load += from.load;
+  into.compute += from.compute;
+  into.wall_sample += from.wall_sample;
+  into.wall_gather += from.wall_gather;
+  into.wall_queue_wait += from.wall_queue_wait;
+  into.wall_compute += from.wall_compute;
+  into.wall_optimizer += from.wall_optimizer;
 }
 
 }  // namespace
@@ -49,6 +56,27 @@ const char* BottleneckName(Bottleneck b) {
   return "?";
 }
 
+Bottleneck BottleneckVerdict(const EpochAttribution& totals,
+                             bool has_producers) {
+  // Loader starvation is a wall-clock phenomenon: when the consumer
+  // waited through more than half of its wall time, the producers cannot
+  // keep up.
+  const double consumer_wall = ConsumerWall(totals);
+  if (has_producers && consumer_wall > 0.0 &&
+      totals.wall_queue_wait > 0.5 * consumer_wall) {
+    return Bottleneck::kLoaderStarved;
+  }
+  const double transfer = totals.extract + totals.load;
+  // Tie priority prep > transfer > compute: >= keeps the paper's
+  // batch-preparation default when stages are equal (e.g. all zero).
+  if (totals.sample >= transfer && totals.sample >= totals.compute) {
+    return totals.wall_gather > totals.wall_sample ? Bottleneck::kGatherBound
+                                                   : Bottleneck::kSampleBound;
+  }
+  if (transfer >= totals.compute) return Bottleneck::kTransferBound;
+  return Bottleneck::kComputeBound;
+}
+
 EpochAttribution AttributeEpoch(uint32_t epoch,
                                 const std::vector<BatchAttribution>& batches,
                                 double pipeline_seconds,
@@ -59,30 +87,8 @@ EpochAttribution AttributeEpoch(uint32_t epoch,
   out.pipeline_seconds = pipeline_seconds;
   // Plain += in delivery order — the bit-exactness contract with
   // EpochStats (see header). Do not reorder or tree-reduce.
-  for (const BatchAttribution& b : batches) {
-    out.sample += b.sample;
-    out.extract += b.extract;
-    out.load += b.load;
-    out.compute += b.compute;
-    out.wall_sample += b.wall_sample;
-    out.wall_gather += b.wall_gather;
-    out.wall_queue_wait += b.wall_queue_wait;
-    out.wall_compute += b.wall_compute;
-    out.wall_optimizer += b.wall_optimizer;
-  }
-  // Loader starvation is a wall-clock phenomenon: the consumer's epoch
-  // wall time is wait + compute + optimizer; waiting through more than
-  // half of it means the producers cannot keep up.
-  const double consumer_wall =
-      out.wall_queue_wait + out.wall_compute + out.wall_optimizer;
-  if (loader_workers > 0 && consumer_wall > 0.0 &&
-      out.wall_queue_wait > 0.5 * consumer_wall) {
-    out.verdict = Bottleneck::kLoaderStarved;
-  } else {
-    out.verdict =
-        VirtualArgmax(out.sample, out.extract + out.load, out.compute,
-                      out.wall_sample, out.wall_gather);
-  }
+  for (const BatchAttribution& b : batches) AddStages(b, out);
+  out.verdict = BottleneckVerdict(out, loader_workers > 0);
   return out;
 }
 
@@ -92,26 +98,13 @@ Bottleneck SteadyStateVerdict(const std::vector<EpochAttribution>& epochs) {
   // Steady state = every epoch after the first; re-derive one verdict
   // from the summed stages rather than majority-voting per-epoch labels
   // so a long run with a noisy epoch still lands on the dominant stage.
-  double prep = 0.0, transfer = 0.0, compute = 0.0;
-  double wall_sample = 0.0, wall_gather = 0.0, wall_wait = 0.0,
-         wall_busy = 0.0;
+  EpochAttribution steady;
   bool starvable = false;
   for (size_t i = 1; i < epochs.size(); ++i) {
-    const EpochAttribution& e = epochs[i];
-    prep += e.sample;
-    transfer += e.extract + e.load;
-    compute += e.compute;
-    wall_sample += e.wall_sample;
-    wall_gather += e.wall_gather;
-    wall_wait += e.wall_queue_wait;
-    wall_busy += e.wall_compute + e.wall_optimizer;
-    if (e.verdict == Bottleneck::kLoaderStarved) starvable = true;
+    AddStages(epochs[i], steady);
+    if (epochs[i].verdict == Bottleneck::kLoaderStarved) starvable = true;
   }
-  const double consumer_wall = wall_wait + wall_busy;
-  if (starvable && consumer_wall > 0.0 && wall_wait > 0.5 * consumer_wall) {
-    return Bottleneck::kLoaderStarved;
-  }
-  return VirtualArgmax(prep, transfer, compute, wall_sample, wall_gather);
+  return BottleneckVerdict(steady, starvable);
 }
 
 Table AttributionReport(const std::vector<EpochAttribution>& epochs) {
@@ -143,10 +136,8 @@ void PublishAttributionMetrics(const EpochAttribution& epoch) {
       .Set(PerMille(epoch.extract + epoch.load, total));
   telemetry::GetGauge(names::kAttribComputePm)
       .Set(PerMille(epoch.compute, total));
-  const double consumer_wall =
-      epoch.wall_queue_wait + epoch.wall_compute + epoch.wall_optimizer;
   telemetry::GetGauge(names::kAttribQueueWaitPm)
-      .Set(PerMille(epoch.wall_queue_wait, consumer_wall));
+      .Set(PerMille(epoch.wall_queue_wait, ConsumerWall(epoch)));
 }
 
 }  // namespace gnndm

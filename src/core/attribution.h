@@ -15,10 +15,12 @@ namespace gnndm {
 ///  - virtual stage seconds come from the deterministic device cost
 ///    model (StageTimes) and are always filled — summing them per epoch
 ///    in delivery order reconciles bit-exact with EpochStats;
-///  - wall seconds are real measurements (producer sample/gather, the
-///    consumer's queue wait, NN forward/backward, optimizer step) and
-///    are zero when telemetry is disabled. They only observe — nothing
-///    here feeds back into training.
+///  - wall seconds are real measurements, each the duration of the
+///    stage's one telemetry::ScopedSpan, written through the span's sink
+///    (and carried from producer to consumer in PreparedBatch). A sink
+///    is written only while telemetry is enabled, so every wall field is
+///    zero when it is disabled. They only observe — nothing here feeds
+///    back into training.
 struct BatchAttribution {
   uint32_t index = 0;
   // Virtual (cost model; deterministic).
@@ -26,12 +28,12 @@ struct BatchAttribution {
   double extract = 0.0;  ///< host-side staging of the transfer
   double load = 0.0;     ///< PCIe load of the transfer
   double compute = 0.0;  ///< StageTimes.nn_compute
-  // Wall (observed; zero with telemetry off).
-  double wall_sample = 0.0;      ///< producer: sampler->Sample
-  double wall_gather = 0.0;      ///< producer: feature gather
-  double wall_queue_wait = 0.0;  ///< consumer: reorder-ring wait
-  double wall_compute = 0.0;     ///< consumer: forward/backward
-  double wall_optimizer = 0.0;   ///< consumer: optimizer step
+  // Wall (span sinks; zero with telemetry off).
+  double wall_sample = 0.0;      ///< span loader.sample
+  double wall_gather = 0.0;      ///< span loader.gather
+  double wall_queue_wait = 0.0;  ///< span loader.consumer_wait
+  double wall_compute = 0.0;     ///< span trainer.nn (forward/backward)
+  double wall_optimizer = 0.0;   ///< span trainer.optimizer
 };
 
 /// The five verdicts a run can get. Order matters: the enum value is
@@ -69,25 +71,35 @@ struct EpochAttribution {
   Bottleneck verdict = Bottleneck::kSampleBound;
 };
 
-/// Aggregates one epoch's records (in delivery order) and derives its
-/// verdict. Verdict thresholds (DESIGN.md §14):
-///  - loader-starved: producer workers exist and the consumer spent more
-///    than half of its observed wall time waiting on the reorder ring;
-///  - otherwise argmax over the virtual stage totals {batch prep,
+/// The one bottleneck rule, judged from the stage totals in `totals`
+/// (its epoch, batches, pipeline_seconds and verdict are not read).
+/// AttributeEpoch, SteadyStateVerdict and gnndm_traceq all call it.
+/// Thresholds (DESIGN.md §14):
+///  - loader-starved: `has_producers` and the consumer waited through
+///    more than half of its wall time, wall_queue_wait + wall_compute +
+///    wall_optimizer;
+///  - otherwise argmax over the virtual stage totals {sample,
 ///    extract+load, compute} -> {sample/gather, transfer, compute}-bound,
 ///    ties resolved in that order (the paper's "batch preparation
 ///    dominates" default);
 ///  - a batch-prep verdict splits into gather-bound when the observed
 ///    producer wall time went mostly to the feature gather, else
 ///    sample-bound.
+Bottleneck BottleneckVerdict(const EpochAttribution& totals,
+                             bool has_producers);
+
+/// Aggregates one epoch's records (in delivery order) and judges them
+/// with BottleneckVerdict; producers exist when `loader_workers` > 0.
 EpochAttribution AttributeEpoch(uint32_t epoch,
                                 const std::vector<BatchAttribution>& batches,
                                 double pipeline_seconds,
                                 size_t loader_workers);
 
-/// Steady-state verdict over a run: epochs after the first vote with
-/// their virtual stage totals (the first epoch is warm-up: cold caches,
-/// lazy allocations); with a single epoch, its verdict stands.
+/// Steady-state verdict over a run: BottleneckVerdict over the summed
+/// totals of the epochs after the first (the first epoch is warm-up:
+/// cold caches, lazy allocations), where producers count as present when
+/// some steady epoch was judged loader-starved; with a single epoch, its
+/// verdict stands.
 Bottleneck SteadyStateVerdict(const std::vector<EpochAttribution>& epochs);
 
 /// The `--report` table: one row per epoch (virtual stage split + wall

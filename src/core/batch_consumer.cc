@@ -4,7 +4,6 @@
 
 #include "common/rng.h"
 #include "common/telemetry.h"
-#include "common/timer.h"
 #include "core/attribution.h"
 #include "core/batch_source.h"
 #include "core/costs.h"
@@ -51,7 +50,7 @@ ConsumeOutcome BatchConsumer::Consume(const PreparedBatch& batch,
   // --- Data transferring: the source staged the input rows; account
   // the modeled cost of moving them host -> device. ---
   {
-    TRACE_SPAN("trainer.transfer");
+    TRACE_SPAN("trainer.transfer", batch.index);
     out.transfer =
         transfer_.Cost(sg.input_vertices(), dataset_.features, cache);
   }
@@ -63,9 +62,8 @@ ConsumeOutcome BatchConsumer::Consume(const PreparedBatch& batch,
   // optimizer step (and, distributed, the gradient average) is the
   // caller's. ---
   {
-    TRACE_SPAN("trainer.nn");
-    // timer-ok: wall compute for stall attribution (DESIGN.md §14)
-    WallTimer nn_timer;
+    TRACE_SPAN("trainer.nn", batch.index,
+               attrib != nullptr ? &attrib->wall_compute : nullptr);
     const Tensor& logits = model_.Forward(sg, batch.input, /*train=*/true);
     labels_scratch_.resize(batch.seeds.size());
     for (size_t i = 0; i < batch.seeds.size(); ++i) {
@@ -79,7 +77,6 @@ ConsumeOutcome BatchConsumer::Consume(const PreparedBatch& batch,
         EstimateGnnFlops(sg, dataset_.features.dim(), hidden_dim_,
                          dataset_.num_classes, num_mlp_layers_),
         num_conv_layers_ + num_mlp_layers_);
-    if (attrib != nullptr) attrib->wall_compute = nn_timer.Seconds();
   }
   if (attrib != nullptr) {
     attrib->index = batch.index;

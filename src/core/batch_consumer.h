@@ -59,8 +59,9 @@ class BatchConsumer {
   /// and stage-time attribution. `cache` may be null; with multiple dist
   /// workers each passes its own. When `attrib` is non-null it receives
   /// this batch's stall-attribution record (virtual stage seconds from
-  /// the outcome, producer/consumer wall seconds from the batch, NN wall
-  /// seconds measured here); the caller adds its optimizer wall time.
+  /// the outcome, producer/consumer wall seconds from the batch, and the
+  /// `trainer.nn` span's seconds as wall_compute); the caller's
+  /// `trainer.optimizer` span adds wall_optimizer.
   ConsumeOutcome Consume(const PreparedBatch& batch,
                          const FeatureCache* cache,
                          BatchAttribution* attrib = nullptr);

@@ -29,6 +29,8 @@ telemetry::Histogram& WaitHistogram(const std::string& name) {
 /// The one definition of batch production, shared by every source: sample
 /// batch `index` with its derived RNG stream, then gather its feature
 /// rows. Safe to call concurrently (const sampler, per-thread scratch).
+/// Each stage's span is its only timer and sinks the stage's seconds into
+/// the batch (stall attribution; DESIGN.md §14).
 PreparedBatch ProduceBatch(const CsrGraph& graph,
                            const FeatureMatrix& features,
                            const NeighborSampler* sampler, uint64_t seed,
@@ -36,29 +38,23 @@ PreparedBatch ProduceBatch(const CsrGraph& graph,
   PreparedBatch prepared;
   prepared.index = index;
   prepared.seeds = std::move(seeds);
-  const bool observe = telemetry::Enabled();
-  // timer-ok: producer-side stall attribution (DESIGN.md §14)
-  WallTimer stage_timer;
-  if (sampler != nullptr) {
-    Rng rng(BatchRngSeed(seed, index));
-    {
-      TRACE_SPAN("loader.sample", index);
-      prepared.subgraph = sampler->Sample(graph, prepared.seeds, rng);
-    }
-    GNNDM_DCHECK_OK(prepared.subgraph.Validate(graph.num_vertices()));
-  } else {
-    // MLP/DNN baseline: independent samples, no neighborhood — the batch
-    // is just the seed rows (the Fig 2 contrast).
-    prepared.subgraph.node_ids.push_back(prepared.seeds);
-  }
-  if (observe) prepared.sample_seconds = stage_timer.Seconds();
-  stage_timer.Restart();
   {
-    TRACE_SPAN("loader.gather", index);
+    TRACE_SPAN("loader.sample", index, &prepared.sample_seconds);
+    if (sampler != nullptr) {
+      Rng rng(BatchRngSeed(seed, index));
+      prepared.subgraph = sampler->Sample(graph, prepared.seeds, rng);
+      GNNDM_DCHECK_OK(prepared.subgraph.Validate(graph.num_vertices()));
+    } else {
+      // MLP/DNN baseline: independent samples, no neighborhood — the
+      // batch is just the seed rows (the Fig 2 contrast).
+      prepared.subgraph.node_ids.push_back(prepared.seeds);
+    }
+  }
+  {
+    TRACE_SPAN("loader.gather", index, &prepared.gather_seconds);
     TransferEngine::Gather(prepared.subgraph.input_vertices(), features,
                            prepared.input);
   }
-  if (observe) prepared.gather_seconds = stage_timer.Seconds();
   return prepared;
 }
 
@@ -150,7 +146,7 @@ void AsyncBatchSource::WorkerLoop(uint32_t worker_id) {
     }
     PreparedBatch prepared;
     {
-      TRACE_SPAN("loader.produce", static_cast<int64_t>(worker_id));
+      TRACE_SPAN("loader.produce", i);
       prepared = ProduceBatch(graph_, features_, sampler_, seed_, i,
                               std::move(batches_[i]));
     }
@@ -192,17 +188,19 @@ void AsyncBatchSource::WorkerLoop(uint32_t worker_id) {
 std::optional<PreparedBatch> AsyncBatchSource::Next() {
   std::optional<PreparedBatch> batch;
   {
-    // timer-ok: measures condvar wait, not a pipeline stage.
-    WallTimer wait_timer;
-    const double wait_begin =
-        telemetry::Enabled() ? telemetry::Tracer::Get().WallNow() : 0.0;
     MutexLock lock(mu_);
-    const size_t slot = next_deliver_ % queue_depth_;
-    while (!stop_ && next_deliver_ < batches_.size() &&
-           !reorder_[slot].has_value()) {
-      batch_ready_.Wait(mu_);
-    }
+    // After the last batch there is nothing to wait for: end-of-epoch is
+    // not a batch stall and is deliberately not observed.
     if (stop_ || next_deliver_ >= batches_.size()) return std::nullopt;
+    const size_t slot = next_deliver_ % queue_depth_;
+    double wait = 0.0;
+    {
+      // The stall itself, so gnndm_traceq can judge loader starvation
+      // from the trace alone; its seconds are the batch's queue wait.
+      TRACE_SPAN("loader.consumer_wait", next_deliver_, &wait);
+      while (!stop_ && !reorder_[slot].has_value()) batch_ready_.Wait(mu_);
+    }
+    if (stop_) return std::nullopt;
     batch = std::move(reorder_[slot]);
     reorder_[slot].reset();
     --buffered_;
@@ -212,22 +210,16 @@ std::optional<PreparedBatch> AsyncBatchSource::Next() {
       // delivered-batch count and its sum reconciles bit-exact with the
       // per-batch queue_wait_seconds field (single consumer thread, the
       // same doubles added in the same order) — asserted by
-      // attribution_test. The final wait before std::nullopt is not a
-      // batch stall and is deliberately not observed.
-      const double wait = wait_timer.Seconds();
+      // attribution_test.
       batch->queue_wait_seconds = wait;
       WaitHistogram(telemetry_names::kLoaderConsumerWaitSeconds)
           .Observe(wait);
       telemetry::GetCounter(telemetry_names::kLoaderBatches).Increment();
       telemetry::GetGauge(telemetry_names::kLoaderReorderOccupancy)
           .Set(static_cast<int64_t>(buffered_));
-      telemetry::Tracer& tracer = telemetry::Tracer::Get();
-      tracer.AddCounterSample(telemetry_names::kLoaderReorderOccupancy,
-                              static_cast<double>(buffered_));
-      // Wall span of the stall itself, so gnndm_traceq can judge loader
-      // starvation from the trace alone.
-      tracer.AddWallSpan("loader.consumer_wait", wait_begin, wait,
-                         static_cast<int64_t>(batch->index));
+      telemetry::Tracer::Get().AddCounterSample(
+          telemetry_names::kLoaderReorderOccupancy,
+          static_cast<double>(buffered_));
     }
   }
   // Delivery opened the window by one index; several producers may have

@@ -26,11 +26,11 @@ struct PreparedBatch {
   /// Input feature rows for subgraph.input_vertices(), always staged by
   /// the source.
   Tensor input;
-  /// Wall-clock stall attribution (core/attribution.h): producer-side
-  /// sample/gather seconds and the consumer's reorder-ring wait for this
-  /// batch. Observation only — filled when telemetry is enabled, zero
-  /// otherwise; never fed back into batch content, so the delivered
-  /// stream stays byte-identical either way.
+  /// Wall-clock stall attribution (core/attribution.h): the seconds of
+  /// this batch's loader.sample, loader.gather and loader.consumer_wait
+  /// spans, which the spans' sinks fill only while telemetry is enabled
+  /// (zero otherwise). Never fed back into batch content, so the
+  /// delivered stream stays byte-identical either way.
   double sample_seconds = 0.0;
   double gather_seconds = 0.0;
   double queue_wait_seconds = 0.0;

@@ -10,7 +10,6 @@
 #include "common/parallel_for.h"
 #include "common/rng.h"
 #include "common/telemetry.h"
-#include "common/timer.h"
 #include "core/attribution.h"
 #include "core/batch_consumer.h"
 #include "core/batch_source.h"
@@ -99,6 +98,7 @@ EpochAttribution TrainerBase::FinishEpoch(
     const std::vector<BatchAttribution>& batches, double epoch_seconds) {
   EpochAttribution attribution = AttributeEpoch(
       epoch_, batches, epoch_seconds, config_.loader_workers);
+  last_epoch_batches_ = batches;
   attribution_history_.push_back(attribution);
   PublishAttributionMetrics(attribution);
   total_seconds_ += epoch_seconds;
@@ -151,10 +151,8 @@ StageTimes Trainer::ConsumeTrainingBatch(const PreparedBatch& batch,
   ConsumeOutcome out = consumer_->Consume(
       batch, cache_.capacity_rows() > 0 ? &cache_ : nullptr, &attrib);
   {
-    // timer-ok: optimizer wall share for stall attribution (DESIGN.md §14)
-    WallTimer opt_timer;
+    TRACE_SPAN("trainer.optimizer", batch.index, &attrib.wall_optimizer);
     optimizer_->Step();
-    attrib.wall_optimizer = opt_timer.Seconds();
   }
   stats.involved_vertices += out.involved_vertices;
   stats.involved_edges += out.involved_edges;

@@ -132,6 +132,11 @@ class TrainerBase {
   const std::vector<EpochAttribution>& attribution_history() const {
     return attribution_history_;
   }
+  /// The last epoch's per-batch stall-attribution records, in delivery
+  /// order.
+  const std::vector<BatchAttribution>& last_epoch_batches() const {
+    return last_epoch_batches_;
+  }
   double total_virtual_seconds() const { return total_seconds_; }
 
  protected:
@@ -153,8 +158,8 @@ class TrainerBase {
       std::vector<std::vector<VertexId>> batches) const;
 
   /// Closes an epoch: aggregates `batches` (delivery order) into its
-  /// stall attribution, records and publishes it, and advances the
-  /// virtual clock and the epoch counter.
+  /// stall attribution, records it and `batches`, publishes it, and
+  /// advances the virtual clock and the epoch counter.
   EpochAttribution FinishEpoch(const std::vector<BatchAttribution>& batches,
                                double epoch_seconds);
 
@@ -168,6 +173,7 @@ class TrainerBase {
   std::unique_ptr<BatchConsumer> consumer_;
   ConvergenceTracker tracker_;
   std::vector<EpochAttribution> attribution_history_;
+  std::vector<BatchAttribution> last_epoch_batches_;
   double total_seconds_ = 0.0;
   uint32_t epoch_ = 0;
 };

@@ -18,6 +18,14 @@ size_t RowGrain(size_t d) {
   return std::max<size_t>(1, 8192 / std::max<size_t>(1, d));
 }
 
+/// Backward grain: every chunk of a scatter re-scans the whole edge list,
+/// so a grain of ceil(num_src / threads) caps the chunks (and re-scans)
+/// at ComputeThreads(); below 256 source rows a chunk is not worth it.
+size_t ScatterGrain(size_t num_src) {
+  const size_t threads = ComputeThreads();
+  return std::max<size_t>(256, (num_src + threads - 1) / threads);
+}
+
 }  // namespace
 
 // The loops here own the edge-walk order (ascending dst, self before
@@ -58,17 +66,16 @@ void MeanAggregateWithSelfBackward(const SampleLayer& layer,
     d_src.Resize(layer.num_src, d);
   }
   const SimdKernels& simd = Simd();
-  // Destination-partitioned scatter: every shard walks the full dst/edge
+  // Destination-partitioned scatter: every chunk walks the full dst/edge
   // list in serial order but applies only the updates whose d_src row
-  // falls inside its own contiguous slice. Shards write disjoint rows
+  // falls inside its own contiguous slice. Chunks write disjoint rows
   // (race-free, no atomics), and each row still receives its
   // contributions in exactly the serial order (ascending dst, self
   // before edges) — byte-identical to the serial loop. The redundant
-  // index re-scan is cheap next to the d-wide row updates, and the shard
-  // count is bounded by the thread count (ParallelForShards), not the
-  // chunk heuristic.
-  ParallelForShards(
-      layer.num_src, /*min_shard=*/256, [&](size_t s0, size_t s1) {
+  // index re-scan is cheap next to the d-wide row updates, and
+  // ScatterGrain bounds the chunk count by the thread count.
+  ParallelFor(
+      layer.num_src, ScatterGrain(layer.num_src), [&](size_t s0, size_t s1) {
         for (uint32_t i = 0; i < layer.num_dst; ++i) {
           const uint32_t begin = layer.offsets[i];
           const uint32_t end = layer.offsets[i + 1];
@@ -115,8 +122,8 @@ void MeanAggregateNeighborsBackward(const SampleLayer& layer,
   }
   const SimdKernels& simd = Simd();
   // Same destination-partitioned scheme as MeanAggregateWithSelfBackward.
-  ParallelForShards(
-      layer.num_src, /*min_shard=*/256, [&](size_t s0, size_t s1) {
+  ParallelFor(
+      layer.num_src, ScatterGrain(layer.num_src), [&](size_t s0, size_t s1) {
         for (uint32_t i = 0; i < layer.num_dst; ++i) {
           const uint32_t begin = layer.offsets[i];
           const uint32_t end = layer.offsets[i + 1];

@@ -1,10 +1,14 @@
 // Tests for per-batch stall attribution (core/attribution.h): verdict
 // logic on synthetic records, the bit-exact reconciliation contract with
 // EpochStats, the loader wait-accounting invariants across source kinds
-// (inline / 1 worker / 4 workers), and distributed epochs' wall split.
+// (inline / 1 worker / 4 workers), distributed epochs' wall split, and
+// the one-measurement contract (each wall field is its span's duration,
+// and zero with telemetry off).
 #include <gtest/gtest.h>
 
+#include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/telemetry.h"
@@ -242,6 +246,79 @@ TEST_F(AttributionTrainerTest, DistributedEpochObservesSampleAndGatherWall) {
   EXPECT_GT(a.wall_sample, 0.0);
   EXPECT_GT(a.wall_gather, 0.0);
   telemetry::SetEnabled(false);
+}
+
+// One measurement per stage: every wall field of a record is the
+// duration of its batch's span, the same double the trace holds, whether
+// the batch was prepared inline or by a loader worker.
+TEST_F(AttributionTrainerTest, WallFieldsAreTheirSpansDurations) {
+  telemetry::SetEnabled(true);
+  if (!telemetry::Enabled()) GTEST_SKIP() << "telemetry compiled out";
+  telemetry::Tracer& tracer = telemetry::Tracer::Get();
+  for (size_t workers : {size_t{0}, size_t{1}}) {
+    SCOPED_TRACE("loader_workers=" + std::to_string(workers));
+    TrainerConfig config = SmallConfig();
+    config.loader_workers = workers;
+    Trainer trainer(dataset_, config);
+    tracer.Start();
+    trainer.TrainEpoch();
+    tracer.Stop();
+    std::map<std::pair<std::string, int64_t>, double> span_seconds;
+    for (const telemetry::TraceEvent& e : tracer.Snapshot()) {
+      if (e.domain != telemetry::ClockDomain::kWall || e.batch < 0) continue;
+      EXPECT_TRUE(span_seconds.emplace(std::pair(e.name, e.batch), e.dur)
+                      .second)
+          << "two " << e.name << " spans for batch " << e.batch;
+    }
+    const std::vector<BatchAttribution>& records =
+        trainer.last_epoch_batches();
+    ASSERT_FALSE(records.empty());
+    for (const BatchAttribution& r : records) {
+      const auto seconds = [&](const char* name) {
+        const auto it = span_seconds.find({name, r.index});
+        return it == span_seconds.end() ? -1.0 : it->second;
+      };
+      EXPECT_EQ(r.wall_sample, seconds("loader.sample")) << r.index;
+      EXPECT_EQ(r.wall_gather, seconds("loader.gather")) << r.index;
+      EXPECT_EQ(r.wall_compute, seconds("trainer.nn")) << r.index;
+      EXPECT_EQ(r.wall_optimizer, seconds("trainer.optimizer")) << r.index;
+      if (workers > 0) {
+        EXPECT_EQ(r.wall_queue_wait, seconds("loader.consumer_wait"))
+            << r.index;
+      }
+    }
+  }
+  telemetry::SetEnabled(false);
+}
+
+// With telemetry off no span sink is written, so every wall field of
+// every record stays 0.0, single-worker and distributed alike.
+TEST_F(AttributionTrainerTest, WallFieldsStayZeroWithTelemetryOff) {
+  telemetry::SetEnabled(false);
+  const auto expect_all_zero = [](const std::vector<BatchAttribution>& rs) {
+    ASSERT_FALSE(rs.empty());
+    for (const BatchAttribution& r : rs) {
+      EXPECT_EQ(r.wall_sample, 0.0) << r.index;
+      EXPECT_EQ(r.wall_gather, 0.0) << r.index;
+      EXPECT_EQ(r.wall_queue_wait, 0.0) << r.index;
+      EXPECT_EQ(r.wall_compute, 0.0) << r.index;
+      EXPECT_EQ(r.wall_optimizer, 0.0) << r.index;
+    }
+  };
+  for (size_t workers : {size_t{0}, size_t{1}}) {
+    SCOPED_TRACE("loader_workers=" + std::to_string(workers));
+    TrainerConfig config = SmallConfig();
+    config.loader_workers = workers;
+    Trainer trainer(dataset_, config);
+    trainer.TrainEpoch();
+    expect_all_zero(trainer.last_epoch_batches());
+    PartitionResult partition =
+        HashPartitioner().Partition({dataset_.graph, dataset_.split}, 4, 1);
+    DistTrainer dist(dataset_, partition, config);
+    dist.TrainEpoch();
+    expect_all_zero(dist.last_epoch_batches());
+  }
+  telemetry::SetEnabled(true);
 }
 
 TEST_F(AttributionTrainerTest, PublishesVerdictAndShareGauges) {

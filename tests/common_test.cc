@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <limits>
 #include <numeric>
+#include <string>
 #include <set>
 #include <thread>
 #include <utility>
@@ -349,6 +351,23 @@ TEST(JsonParseTest, BuildsValuesInDocumentOrder) {
   EXPECT_EQ(arr->items[2].StringOr("k", ""), "v");
   EXPECT_EQ(v.Find("missing"), nullptr);
   EXPECT_EQ(v.NumberOr("s", 7.0), 7.0);  // wrong kind falls back
+}
+
+// json::Escape is the one writer-side escaper: all 32 control
+// characters leave it escaped and come back from Parse unchanged.
+TEST(JsonParseTest, EscapeRoundTripsEveryControlCharacter) {
+  std::string s;
+  for (int c = 0; c < 0x20; ++c) s.push_back(static_cast<char>(c));
+  s += "\"\\/ plain";
+  const std::string escaped = json::Escape(s);
+  for (const char c : escaped) EXPECT_GE(static_cast<unsigned char>(c), 0x20);
+  json::Value v;
+  ASSERT_TRUE(json::Parse("\"" + escaped + "\"", &v).ok()) << escaped;
+  EXPECT_EQ(v.kind, json::Value::Kind::kString);
+  EXPECT_EQ(v.str, s);
+  // JSON has no inf/nan token; the number writer spells them 0.
+  EXPECT_EQ(json::Number(0.25), "0.25");
+  EXPECT_EQ(json::Number(std::numeric_limits<double>::infinity()), "0");
 }
 
 TEST(JsonParseTest, BuildingRejectsWhatCheckingRejects) {

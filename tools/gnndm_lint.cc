@@ -42,6 +42,7 @@
 #include <vector>
 
 #include "bench_util.h"
+#include "common/json.h"
 #include "lint/callgraph.h"
 #include "lint/effects.h"
 #include "lint/include_graph.h"
@@ -52,6 +53,7 @@ namespace gnndm_lint {
 namespace {
 
 namespace fs = std::filesystem;
+namespace json = gnndm::json;
 
 struct PassTimer {
   std::vector<std::pair<std::string, double>> ms;
@@ -105,30 +107,20 @@ void AnalyzeRepo(std::vector<SourceFile>& files, const fs::path& root,
   if (cg_out != nullptr) *cg_out = std::move(cg);
 }
 
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  for (char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    if (static_cast<unsigned char>(c) < 0x20) continue;
-    out += c;
-  }
-  return out;
-}
-
 void WriteFindingsJson(const std::string& path) {
   std::string out = "[";
   bool first = true;
   for (const Finding& v : Violations()) {
     out += first ? "\n" : ",\n";
     first = false;
-    out += "  {\"file\": \"" + JsonEscape(v.file) + "\", \"line\": " +
-           std::to_string(v.line) + ", \"rule\": \"" + JsonEscape(v.rule) +
-           "\", \"message\": \"" + JsonEscape(v.message) + "\", \"chain\": [";
+    out += "  {\"file\": \"" + json::Escape(v.file) + "\", \"line\": " +
+           std::to_string(v.line) + ", \"rule\": \"" + json::Escape(v.rule) +
+           "\", \"message\": \"" + json::Escape(v.message) + "\", \"chain\": [";
     bool fc = true;
     for (const std::string& hop : v.chain) {
       if (!fc) out += ", ";
       fc = false;
-      out += "\"" + JsonEscape(hop) + "\"";
+      out += "\"" + json::Escape(hop) + "\"";
     }
     out += "]}";
   }

@@ -13,7 +13,6 @@
 // they fail. Exit codes: 0 ok, 1 unreadable/malformed trace, 2 empty
 // trace, 3 --check invariant violation.
 #include <algorithm>
-#include <cctype>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
@@ -273,60 +272,25 @@ OccupancyStats ReorderOccupancy(const TraceData& trace) {
   return out;
 }
 
-/// The trace-side bottleneck verdict, mirroring AttributeEpoch's logic
-/// with what the trace records: virtual stage sums for the argmax, wall
-/// loader spans for the starvation and sample-vs-gather refinements.
-Bottleneck TraceVerdict(const TraceData& trace, double wall_extent) {
-  const double prep = VirtualSum(trace, "trainer.bp");
-  const double transfer = VirtualSum(trace, "trainer.extract") +
-                          VirtualSum(trace, "trainer.load");
-  const double compute = VirtualSum(trace, "trainer.nn");
-  const double consumer_wait = WallSum(trace, "loader.consumer_wait");
-  const bool has_producers = WallSum(trace, "loader.produce") > 0.0;
-  if (has_producers && wall_extent > 0.0 &&
-      consumer_wait > 0.5 * wall_extent) {
-    return Bottleneck::kLoaderStarved;
-  }
-  if (prep >= transfer && prep >= compute) {
-    return WallSum(trace, "loader.gather") > WallSum(trace, "loader.sample")
-               ? Bottleneck::kGatherBound
-               : Bottleneck::kSampleBound;
-  }
-  if (transfer >= compute) return Bottleneck::kTransferBound;
-  return Bottleneck::kComputeBound;
+/// The trace-side bottleneck verdict: core/attribution's one rule over
+/// the totals the trace records — virtual stage sums for the argmax, and
+/// the wall stage spans for the starvation and sample-vs-gather
+/// refinements. Producers exist when loader.produce spans took time.
+Bottleneck TraceVerdict(const TraceData& trace) {
+  EpochAttribution totals;
+  totals.sample = VirtualSum(trace, "trainer.bp");
+  totals.extract = VirtualSum(trace, "trainer.extract");
+  totals.load = VirtualSum(trace, "trainer.load");
+  totals.compute = VirtualSum(trace, "trainer.nn");
+  totals.wall_sample = WallSum(trace, "loader.sample");
+  totals.wall_gather = WallSum(trace, "loader.gather");
+  totals.wall_queue_wait = WallSum(trace, "loader.consumer_wait");
+  totals.wall_compute = WallSum(trace, "trainer.nn");
+  totals.wall_optimizer = WallSum(trace, "trainer.optimizer");
+  return BottleneckVerdict(totals, WallSum(trace, "loader.produce") > 0.0);
 }
 
 // --- Report -------------------------------------------------------------
-
-std::string JsonNum(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.9g", v);
-  // Keep JSON numeric (snprintf may emit inf/nan on degenerate input).
-  for (const char* p = buf; *p != '\0'; ++p) {
-    if (std::isalpha(static_cast<unsigned char>(*p)) && *p != 'e' &&
-        *p != 'E') {
-      return "0";
-    }
-  }
-  return buf;
-}
-
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out.push_back('\\');
-      out.push_back(c);
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-      out += buf;
-    } else {
-      out.push_back(c);
-    }
-  }
-  return out;
-}
 
 std::string LanesJson(const DomainStats& d) {
   std::string out = "[";
@@ -334,9 +298,9 @@ std::string LanesJson(const DomainStats& d) {
     const LaneStats& lane = d.lanes[i];
     if (i > 0) out += ", ";
     out += "{\"tid\": " + std::to_string(lane.tid) + ", \"name\": \"" +
-           JsonEscape(lane.name) + "\", \"busy_seconds\": " +
-           JsonNum(lane.busy) + ", \"utilization\": " +
-           JsonNum(d.extent() > 0.0 ? lane.busy / d.extent() : 0.0) +
+           json::Escape(lane.name) + "\", \"busy_seconds\": " +
+           json::Number(lane.busy) + ", \"utilization\": " +
+           json::Number(d.extent() > 0.0 ? lane.busy / d.extent() : 0.0) +
            ", \"spans\": " + std::to_string(lane.spans) + "}";
   }
   return out + "]";
@@ -372,7 +336,7 @@ int Main(int argc, char** argv) {
   const DomainStats virt = LaneUtilization(trace, /*wall=*/false);
   const CriticalPath critical = VirtualCriticalPath(trace);
   const OccupancyStats occupancy = ReorderOccupancy(trace);
-  const Bottleneck verdict = TraceVerdict(trace, wall.extent());
+  const Bottleneck verdict = TraceVerdict(trace);
 
   double max_lane_busy = 0.0;
   for (const LaneStats& lane : virt.lanes) {
@@ -466,42 +430,47 @@ int Main(int argc, char** argv) {
 
   // --- JSON report ---
   if (flags.Has("json")) {
-    std::string json = "{\"trace\": \"" + JsonEscape(path) + "\",\n";
-    json += "\"events\": " + std::to_string(trace.events) +
-            ", \"spans\": " + std::to_string(trace.spans.size()) +
-            ", \"counter_samples\": " +
-            std::to_string(trace.counters.size()) + ",\n";
-    json += "\"wall\": {\"extent_seconds\": " + JsonNum(wall.extent()) +
-            ", \"lanes\": " + LanesJson(wall) + "},\n";
-    json += "\"virtual\": {\"extent_seconds\": " + JsonNum(virt.extent()) +
-            ", \"lanes\": " + LanesJson(virt) +
-            ", \"critical_path_seconds\": " + JsonNum(critical.seconds) +
-            ", \"critical_path_spans\": " +
-            std::to_string(critical.spans) + "},\n";
-    json += "\"stage_breakdown\": {\"batch_prep\": " +
-            JsonNum(VirtualSum(trace, "trainer.bp")) + ", \"extract\": " +
-            JsonNum(VirtualSum(trace, "trainer.extract")) +
-            ", \"load\": " + JsonNum(VirtualSum(trace, "trainer.load")) +
-            ", \"nn\": " + JsonNum(VirtualSum(trace, "trainer.nn")) +
-            "},\n";
-    json += "\"reorder_occupancy\": {\"samples\": " +
-            std::to_string(occupancy.samples) + ", \"mean\": " +
-            JsonNum(occupancy.mean) + ", \"max\": " +
-            JsonNum(occupancy.max) + "},\n";
-    json += "\"verdict\": \"" + std::string(BottleneckName(verdict)) +
-            "\",\n";
-    json += "\"checks\": {\"critical_path_le_extent\": " +
-            std::string(path_le_extent ? "true" : "false") +
-            ", \"critical_path_ge_max_lane\": " +
-            std::string(path_ge_max_lane ? "true" : "false") + "}}\n";
-    if (Status lint = telemetry::JsonLint(json); !lint.ok()) {
+    std::string report = "{\"trace\": \"" + json::Escape(path) + "\",\n";
+    report += "\"events\": " + std::to_string(trace.events) +
+              ", \"spans\": " + std::to_string(trace.spans.size()) +
+              ", \"counter_samples\": " +
+              std::to_string(trace.counters.size()) + ",\n";
+    report += "\"wall\": {\"extent_seconds\": " +
+              json::Number(wall.extent()) +
+              ", \"lanes\": " + LanesJson(wall) + "},\n";
+    report += "\"virtual\": {\"extent_seconds\": " +
+              json::Number(virt.extent()) +
+              ", \"lanes\": " + LanesJson(virt) +
+              ", \"critical_path_seconds\": " +
+              json::Number(critical.seconds) +
+              ", \"critical_path_spans\": " +
+              std::to_string(critical.spans) + "},\n";
+    report += "\"stage_breakdown\": {\"batch_prep\": " +
+              json::Number(VirtualSum(trace, "trainer.bp")) +
+              ", \"extract\": " +
+              json::Number(VirtualSum(trace, "trainer.extract")) +
+              ", \"load\": " +
+              json::Number(VirtualSum(trace, "trainer.load")) +
+              ", \"nn\": " + json::Number(VirtualSum(trace, "trainer.nn")) +
+              "},\n";
+    report += "\"reorder_occupancy\": {\"samples\": " +
+              std::to_string(occupancy.samples) + ", \"mean\": " +
+              json::Number(occupancy.mean) + ", \"max\": " +
+              json::Number(occupancy.max) + "},\n";
+    report += "\"verdict\": \"" + std::string(BottleneckName(verdict)) +
+              "\",\n";
+    report += "\"checks\": {\"critical_path_le_extent\": " +
+              std::string(path_le_extent ? "true" : "false") +
+              ", \"critical_path_ge_max_lane\": " +
+              std::string(path_ge_max_lane ? "true" : "false") + "}}\n";
+    if (Status lint = telemetry::JsonLint(report); !lint.ok()) {
       std::fprintf(stderr, "error: report JSON failed lint: %s\n",
                    lint.ToString().c_str());
       return 1;
     }
     const std::string out_path = flags.GetString("json", "");
     std::ofstream out(out_path, std::ios::trunc);
-    out << json;
+    out << report;
     if (!out.good()) {
       std::fprintf(stderr, "error: cannot write %s\n", out_path.c_str());
       return 1;

@@ -624,8 +624,7 @@ void ExtractFile(Builder& b, size_t file_idx) {
           const std::string& c = paren_calls[k];
           if (c.empty()) continue;
           if (in_src && !IsBoundaryFile(f.rel) &&
-              (c == "ParallelFor" || c == "ParallelFor2D" ||
-               c == "ParallelForShards")) {
+              (c == "ParallelFor" || c == "ParallelFor2D")) {
             fn.parallel_root = true;
           } else if (in_src && !IsBoundaryFile(f.rel) && file_has_thread &&
                      (c == "emplace_back" || c == "push_back" ||

@@ -16,10 +16,10 @@
 //     to every method with that name;
 //   - a bare function name used as an argument (function pointer) edges
 //     to its unique free-function definition when one exists.
-// Lambdas handed to ParallelFor/ParallelFor2D/ParallelForShards are
-// marked parallel roots; lambdas handed to a worker std::thread
-// (emplace_back/push_back/thread in a file that owns threads) are
-// producer roots — the effect pass walks contracts from those roots.
+// Lambdas handed to ParallelFor/ParallelFor2D are marked parallel
+// roots; lambdas handed to a worker std::thread (emplace_back/push_back/
+// thread in a file that owns threads) are producer roots — the effect
+// pass walks contracts from those roots.
 #ifndef GNNDM_TOOLS_LINT_CALLGRAPH_H_
 #define GNNDM_TOOLS_LINT_CALLGRAPH_H_
 

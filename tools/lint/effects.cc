@@ -6,11 +6,14 @@
 #include <set>
 #include <utility>
 
+#include "common/json.h"
 #include "lint/rules.h"
 
 namespace gnndm_lint {
 
 namespace {
+
+namespace json = gnndm::json;
 
 constexpr uint8_t kForbiddenInParallel = kEffLocks | kEffBlocks | kEffIo;
 
@@ -240,16 +243,6 @@ std::vector<size_t> SortedRoots(const std::vector<SourceFile>& files,
   return roots;
 }
 
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  for (char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    if (static_cast<unsigned char>(c) < 0x20) continue;
-    out += c;
-  }
-  return out;
-}
-
 void AppendEffectArray(std::string& out, uint8_t mask) {
   out += "[";
   bool first = true;
@@ -413,8 +406,8 @@ void WriteEffectsJson(const std::string& path,
     const FunctionInfo& fn = g.fns[i];
     if (!first) out += ",\n";
     first = false;
-    out += "    {\"qual\": \"" + JsonEscape(fn.qual) + "\", \"file\": \"" +
-           JsonEscape(files[fn.file].rel) + "\", \"line\": " +
+    out += "    {\"qual\": \"" + json::Escape(fn.qual) + "\", \"file\": \"" +
+           json::Escape(files[fn.file].rel) + "\", \"line\": " +
            std::to_string(fn.line) + ", \"hot\": " +
            (fn.hot ? "true" : "false") + ", \"root\": \"" +
            (fn.parallel_root ? "parallel"
@@ -428,7 +421,7 @@ void WriteEffectsJson(const std::string& path,
     for (const std::string& q : SortedCallees(g, fn)) {
       if (!fc) out += ", ";
       fc = false;
-      out += "\"" + JsonEscape(q) + "\"";
+      out += "\"" + json::Escape(q) + "\"";
     }
     out += "]}";
   }
@@ -459,11 +452,11 @@ void WriteEffectsDot(const std::string& path,
   for (size_t i : SortedSrcFns(files, g)) {
     if (keep.count(i) == 0) continue;
     const FunctionInfo& fn = g.fns[i];
-    std::string attrs = "label=\"" + JsonEscape(fn.qual) + "\\n[" +
+    std::string attrs = "label=\"" + json::Escape(fn.qual) + "\\n[" +
                         EffectNames(fn.effects) + "]\"";
     if (fn.hot) attrs += ", color=red";
     if (fn.parallel_root || fn.producer_root) attrs += ", style=bold";
-    out += "  \"" + JsonEscape(fn.qual) + "\" [" + attrs + "];\n";
+    out += "  \"" + json::Escape(fn.qual) + "\" [" + attrs + "];\n";
   }
   for (size_t i : SortedSrcFns(files, g)) {
     if (keep.count(i) == 0) continue;
@@ -478,7 +471,7 @@ void WriteEffectsDot(const std::string& path,
         }
       }
       if (!found) continue;
-      out += "  \"" + JsonEscape(fn.qual) + "\" -> \"" + JsonEscape(q) +
+      out += "  \"" + json::Escape(fn.qual) + "\" -> \"" + json::Escape(q) +
              "\";\n";
     }
   }

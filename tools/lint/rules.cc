@@ -430,8 +430,7 @@ void CheckFloatAccumInParallel(const SourceFile& f,
   if (floats.empty()) return;
   for (size_t i = 0; i + 1 < toks.size(); ++i) {
     if (!IsIdent(toks[i], "ParallelFor") &&
-        !IsIdent(toks[i], "ParallelFor2D") &&
-        !IsIdent(toks[i], "ParallelForShards")) {
+        !IsIdent(toks[i], "ParallelFor2D")) {
       continue;
     }
     if (!IsPunct(toks[i + 1], "(")) continue;
@@ -476,11 +475,11 @@ void CheckFloatAccumInParallel(const SourceFile& f,
 /// allocation inside sampler/kernel inner loops is a silent framework
 /// overhead that corrupts exactly the data-management costs this repo
 /// exists to measure. A token is "hot" when it sits inside a
-/// ParallelFor/ParallelFor2D/ParallelForShards call extent (the body runs
-/// once per chunk on the worker pool), or inside a loop of a function
-/// annotated `// gnndm-hot` (so the fix — hoisting the buffer above the
-/// loop, into SamplerScratch or a caller-owned scratch struct — is by
-/// construction not re-flagged). The pattern matcher is AllocationSites;
+/// ParallelFor/ParallelFor2D call extent (the body runs once per chunk
+/// on the worker pool), or inside a loop of a function annotated
+/// `// gnndm-hot` (so the fix — hoisting the buffer above the loop, into
+/// SamplerScratch or a caller-owned scratch struct — is by construction
+/// not re-flagged). The pattern matcher is AllocationSites;
 /// the effect pass reuses it for the transitive `allocates` effect.
 void CheckHotPathAlloc(const SourceFile& f,
                        const std::vector<const Token*>& toks,

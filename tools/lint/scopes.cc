@@ -94,8 +94,7 @@ std::vector<uint8_t> ScanScopes(const SourceFile& f,
         } else {
           stack.push_back({'v', false, paren});
         }
-      } else if ((s == "ParallelFor" || s == "ParallelFor2D" ||
-                  s == "ParallelForShards") &&
+      } else if ((s == "ParallelFor" || s == "ParallelFor2D") &&
                  i + 1 < toks.size() && IsPunct(toks[i + 1], "(")) {
         // A *call* — not a declaration/definition, which has a return
         // type identifier before the (possibly qualified) name. Walk

@@ -29,7 +29,7 @@ struct IncludeDirective {
 enum ScopeFlag : uint8_t {
   kNsScope = 1,     // namespace/global scope (type bodies excluded)
   kInLoop = 2,      // inside at least one loop body
-  kInParallel = 4,  // inside a ParallelFor/2D/Shards call extent
+  kInParallel = 4,  // inside a ParallelFor/2D call extent
   kInHotFn = 8,     // inside a function annotated // gnndm-hot
   kInLambda = 16,   // inside a lambda body
   kPp = 32,         // on a preprocessor line
