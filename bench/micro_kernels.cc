@@ -237,6 +237,17 @@ int Run(int argc, char** argv) {
                    [&] { MatMul(tall_in256, tall_w256, mm_out); },
                    [&] { return TensorBytes(mm_out); }});
 
+  // Conv 0's weight gradient dW = X^T * dY: the reduction runs over the
+  // batch rows, so k is the tall dimension (k-chunked MatMulTransA).
+  Tensor tall_x128(tall_m, 128), tall_dy128(tall_m, 128);
+  FillRandom(tall_x128, rng);
+  FillRandom(tall_dy128, rng);
+  std::snprintf(shape, sizeof(shape), "(%zux128)^Tx(%zux128)", tall_m,
+                tall_m);
+  cases.push_back({"matmul_ta_tall", shape, no_reset,
+                   [&] { MatMulTransA(tall_x128, tall_dy128, mm_out); },
+                   [&] { return TensorBytes(mm_out); }});
+
   std::snprintf(shape, sizeof(shape), "%ud deg~%u dim=%u", agg_dst,
                 agg_deg, feat_dim);
   cases.push_back({"agg_self", shape, no_reset,

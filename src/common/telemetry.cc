@@ -402,35 +402,44 @@ std::string Tracer::ToChromeJson() const {
   // Wall spans live in trace process 1 (one tid per recording thread),
   // virtual spans in process 2 (one tid per pipeline resource lane), so
   // Perfetto renders the two time domains as separate track groups.
-  std::string out = "{\"traceEvents\": [\n";
+  // The separator goes *between* records (written before every record
+  // but the first), so a trace with no events is well formed too.
+  std::string out = "{\"traceEvents\": [";
+  const char* separator = "\n  ";
+  const auto begin_record = [&out, &separator] {
+    out += separator;
+    separator = ",\n  ";
+  };
+  begin_record();
   out +=
-      "  {\"ph\": \"M\", \"pid\": 1, \"tid\": 0, \"name\": "
-      "\"process_name\", \"args\": {\"name\": \"wall clock (cpu)\"}},\n";
+      "{\"ph\": \"M\", \"pid\": 1, \"tid\": 0, \"name\": "
+      "\"process_name\", \"args\": {\"name\": \"wall clock (cpu)\"}}";
+  begin_record();
   out +=
-      "  {\"ph\": \"M\", \"pid\": 2, \"tid\": 0, \"name\": "
+      "{\"ph\": \"M\", \"pid\": 2, \"tid\": 0, \"name\": "
       "\"process_name\", \"args\": {\"name\": \"virtual clock (simulated "
-      "device/pipeline)\"}},\n";
+      "device/pipeline)\"}}";
   const char* lane_names[] = {"BP (cpu sampler)", "DT (pcie extract+load)",
                               "NN (gpu compute)", "DIST (sync rounds)"};
   for (uint32_t lane = 0; lane < 4; ++lane) {
-    out += "  {\"ph\": \"M\", \"pid\": 2, \"tid\": " + std::to_string(lane) +
+    begin_record();
+    out += "{\"ph\": \"M\", \"pid\": 2, \"tid\": " + std::to_string(lane) +
            ", \"name\": \"thread_name\", \"args\": {\"name\": \"" +
-           std::string(lane_names[lane]) + "\"}},\n";
+           std::string(lane_names[lane]) + "\"}}";
   }
-  const std::vector<TraceEvent> events = Snapshot();
-  for (size_t i = 0; i < events.size(); ++i) {
-    const TraceEvent& e = events[i];
+  for (const TraceEvent& e : Snapshot()) {
     const bool wall = e.domain == ClockDomain::kWall;
+    begin_record();
     if (e.counter) {
       // Chrome counter sample: the value timeline (e.g. reorder-ring
       // occupancy) renders as a stacked area track in Perfetto.
-      out += "  {\"name\": \"" + json::Escape(e.name) +
+      out += "{\"name\": \"" + json::Escape(e.name) +
              "\", \"cat\": \"counter\", \"ph\": \"C\", \"ts\": " +
              json::Number(e.ts * 1e6) + ", \"pid\": " + (wall ? "1" : "2") +
              ", \"tid\": " + std::to_string(e.track) +
              ", \"args\": {\"value\": " + json::Number(e.value) + "}";
     } else {
-      out += "  {\"name\": \"" + json::Escape(e.name) + "\", \"cat\": \"" +
+      out += "{\"name\": \"" + json::Escape(e.name) + "\", \"cat\": \"" +
              (wall ? "wall" : "virtual") + "\", \"ph\": \"X\", \"ts\": " +
              json::Number(e.ts * 1e6) +
              ", \"dur\": " + json::Number(e.dur * 1e6) +
@@ -440,9 +449,9 @@ std::string Tracer::ToChromeJson() const {
         out += ", \"args\": {\"batch\": " + std::to_string(e.batch) + "}";
       }
     }
-    out += i + 1 < events.size() ? "},\n" : "}\n";
+    out += "}";
   }
-  out += "]}\n";
+  out += "\n]}\n";
   return out;
 }
 

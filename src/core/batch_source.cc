@@ -58,6 +58,23 @@ PreparedBatch ProduceBatch(const CsrGraph& graph,
   return prepared;
 }
 
+/// The instruments every delivered batch updates, bound once per
+/// process: a registry lookup takes the registry mutex, and the handles
+/// it returns are never invalidated.
+struct DeliveryInstruments {
+  telemetry::Counter& batches =
+      telemetry::GetCounter(telemetry_names::kLoaderBatches);
+  telemetry::Histogram& consumer_wait =
+      WaitHistogram(telemetry_names::kLoaderConsumerWaitSeconds);
+  telemetry::Gauge& occupancy =
+      telemetry::GetGauge(telemetry_names::kLoaderReorderOccupancy);
+};
+
+const DeliveryInstruments& Delivery() {
+  static const DeliveryInstruments instruments;
+  return instruments;
+}
+
 }  // namespace
 
 // --- InlineBatchSource --------------------------------------------------
@@ -78,11 +95,12 @@ std::optional<PreparedBatch> InlineBatchSource::Next() {
   PreparedBatch batch = ProduceBatch(graph_, features_, sampler_, seed_, i,
                                      std::move(batches_[i]));
   if (telemetry::Enabled()) {
-    telemetry::GetCounter(telemetry_names::kLoaderBatches).Increment();
+    const DeliveryInstruments& delivery = Delivery();
+    delivery.batches.Increment();
     // Inline delivery never waits; observing the zero keeps the
     // reconciliation invariant (histogram count == delivered batches,
     // sum == Σ queue_wait_seconds) uniform across source kinds.
-    WaitHistogram(telemetry_names::kLoaderConsumerWaitSeconds).Observe(0.0);
+    delivery.consumer_wait.Observe(0.0);
   }
   return batch;
 }
@@ -212,11 +230,10 @@ std::optional<PreparedBatch> AsyncBatchSource::Next() {
       // same doubles added in the same order) — asserted by
       // attribution_test.
       batch->queue_wait_seconds = wait;
-      WaitHistogram(telemetry_names::kLoaderConsumerWaitSeconds)
-          .Observe(wait);
-      telemetry::GetCounter(telemetry_names::kLoaderBatches).Increment();
-      telemetry::GetGauge(telemetry_names::kLoaderReorderOccupancy)
-          .Set(static_cast<int64_t>(buffered_));
+      const DeliveryInstruments& delivery = Delivery();
+      delivery.consumer_wait.Observe(wait);
+      delivery.batches.Increment();
+      delivery.occupancy.Set(static_cast<int64_t>(buffered_));
       telemetry::Tracer::Get().AddCounterSample(
           telemetry_names::kLoaderReorderOccupancy,
           static_cast<double>(buffered_));

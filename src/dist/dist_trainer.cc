@@ -154,6 +154,7 @@ double DistTrainer::RunWorkerBatch(uint32_t worker,
 }
 
 DistEpochStats DistTrainer::TrainEpoch() {
+  TRACE_SPAN("trainer.epoch");
   DistEpochStats stats;
   stats.epoch = epoch_;
   stats.workers.resize(partition_.num_parts);
@@ -197,14 +198,19 @@ DistEpochStats DistTrainer::TrainEpoch() {
       ++active;
     }
     // Average the summed gradients over the participating workers, then
-    // apply one synchronous update.
-    const float scale = 1.0f / static_cast<float>(active);
+    // apply one synchronous update. The step is charged to the batch that
+    // closes the round, and its span carries that batch's index.
     uint64_t grad_bytes = 0;
-    for (Parameter* param : model_->Parameters()) {
-      ScaleInPlace(param->grad, scale);
-      grad_bytes += param->grad.size() * sizeof(float);
+    {
+      BatchAttribution& closing = batch_attribs.back();
+      TRACE_SPAN("trainer.optimizer", closing.index, &closing.wall_optimizer);
+      const float scale = 1.0f / static_cast<float>(active);
+      for (Parameter* param : model_->Parameters()) {
+        ScaleInPlace(param->grad, scale);
+        grad_bytes += param->grad.size() * sizeof(float);
+      }
+      optimizer_->Step();
     }
-    optimizer_->Step();
     // Ring all-reduce of the gradients: every worker sends and receives
     // ~2x the model size per synchronization ("only the gradients need
     // to be synchronized", §2).

@@ -29,18 +29,15 @@ const Tensor& Linear::Forward(const Tensor& x) {
   return output_;
 }
 
-Tensor Linear::Backward(const Tensor& d_out) {
-  Tensor dz = d_out;
-  if (relu_) ReluBackwardInPlace(dz, output_);
+void Linear::Backward(Tensor& d_out, Tensor* d_in) {
+  if (relu_) ReluBackwardInPlace(d_out, output_);
   Tensor dw;
-  MatMulTransA(input_cache_, dz, dw);
+  MatMulTransA(input_cache_, d_out, dw);
   Axpy(1.0f, dw, weight_.grad);
   Tensor db;
-  SumRows(dz, db);
+  SumRows(d_out, db);
   Axpy(1.0f, db, bias_.grad);
-  Tensor dx;
-  MatMulTransB(dz, weight_.value, dx);
-  return dx;
+  if (d_in != nullptr) MatMulTransB(d_out, weight_.value, *d_in);
 }
 
 GcnConv::GcnConv(std::string name, size_t in_dim, size_t out_dim, bool relu,
@@ -59,20 +56,20 @@ const Tensor& GcnConv::Forward(const SampleLayer& layer, const Tensor& src) {
   return output_;
 }
 
-Tensor GcnConv::Backward(const SampleLayer& layer, const Tensor& d_out) {
-  Tensor dz = d_out;
-  if (relu_) ReluBackwardInPlace(dz, output_);
+void GcnConv::Backward(const SampleLayer& layer, Tensor& d_out,
+                       Tensor* d_src) {
+  if (relu_) ReluBackwardInPlace(d_out, output_);
   Tensor dw;
-  MatMulTransA(agg_cache_, dz, dw);
+  MatMulTransA(agg_cache_, d_out, dw);
   Axpy(1.0f, dw, weight_.grad);
   Tensor db;
-  SumRows(dz, db);
+  SumRows(d_out, db);
   Axpy(1.0f, db, bias_.grad);
+  if (d_src == nullptr) return;
   Tensor d_agg;
-  MatMulTransB(dz, weight_.value, d_agg);
-  Tensor d_src(layer.num_src, weight_.value.rows());
-  MeanAggregateWithSelfBackward(layer, d_agg, d_src);
-  return d_src;
+  MatMulTransB(d_out, weight_.value, d_agg);
+  d_src->Resize(layer.num_src, weight_.value.rows());
+  MeanAggregateWithSelfBackward(layer, d_agg, *d_src);
 }
 
 SageConv::SageConv(std::string name, size_t in_dim, size_t out_dim,
@@ -113,25 +110,26 @@ const Tensor& SageConv::Forward(const SampleLayer& layer, const Tensor& src) {
   return output_;
 }
 
-Tensor SageConv::Backward(const SampleLayer& layer, const Tensor& d_out) {
-  Tensor dz = d_out;
-  if (relu_) ReluBackwardInPlace(dz, output_);
+void SageConv::Backward(const SampleLayer& layer, Tensor& d_out,
+                        Tensor* d_src) {
+  if (relu_) ReluBackwardInPlace(d_out, output_);
 
   Tensor dw_self;
-  MatMulTransA(self_cache_, dz, dw_self);
+  MatMulTransA(self_cache_, d_out, dw_self);
   Axpy(1.0f, dw_self, weight_self_.grad);
   Tensor dw_neigh;
-  MatMulTransA(agg_cache_, dz, dw_neigh);
+  MatMulTransA(agg_cache_, d_out, dw_neigh);
   Axpy(1.0f, dw_neigh, weight_neigh_.grad);
   Tensor db;
-  SumRows(dz, db);
+  SumRows(d_out, db);
   Axpy(1.0f, db, bias_.grad);
+  if (d_src == nullptr) return;
 
   const size_t in_dim = weight_self_.value.rows();
-  Tensor d_src(layer.num_src, in_dim);
+  d_src->Resize(layer.num_src, in_dim);
   // Self branch gradient lands on the first num_dst source rows.
   Tensor d_self;
-  MatMulTransB(dz, weight_self_.value, d_self);
+  MatMulTransB(d_out, weight_self_.value, d_self);
   {
     // drow += 1.0f * grow: the multiply by one is exact, same bits as
     // the historical += loop.
@@ -141,15 +139,14 @@ Tensor SageConv::Backward(const SampleLayer& layer, const Tensor& d_out) {
                 [&](size_t r0, size_t r1) {
                   for (size_t i = r0; i < r1; ++i) {
                     simd.axpy(in_dim, 1.0f, d_self.row(i).data(),
-                              d_src.row(i).data());
+                              d_src->row(i).data());
                   }
                 });
   }
   // Neighbor branch gradient scatters through the aggregation.
   Tensor d_agg;
-  MatMulTransB(dz, weight_neigh_.value, d_agg);
-  MeanAggregateNeighborsBackward(layer, d_agg, d_src);
-  return d_src;
+  MatMulTransB(d_out, weight_neigh_.value, d_agg);
+  MeanAggregateNeighborsBackward(layer, d_agg, *d_src);
 }
 
 void Dropout::Forward(Tensor& x, bool train, Rng& rng) {

@@ -12,9 +12,24 @@
 
 namespace gnndm {
 
+/// Backward contract of Linear, GcnConv and SageConv: Backward must follow
+/// the matching Forward (single-use-per-step discipline, as in a tape).
+/// It consumes `d_out` (dLoss/dOutput; the ReLU mask is applied to it in
+/// place), adds the parameter gradients into each Parameter's `.grad`,
+/// and writes dLoss/dInput into its last argument only when that is
+/// non-null. Pass nullptr where nothing reads the input gradient, as for
+/// the first layer of a model, whose input is the raw features. The
+/// parameter gradients never depend on the input gradient, so they are
+/// bit-identical either way. The input gradient must not alias `d_out`.
+///
+/// Each parameter gradient is computed into a temporary and then added to
+/// `.grad`, never accumulated inside the GEMM: `.grad` may already hold
+/// other gradients (DistTrainer sums up to four workers' before one
+/// Step), and starting the GEMM's sum from them would reorder that sum
+/// and change the bits.
+
 /// Fully connected layer: y = x W + b, with optional ReLU fused in.
-/// Forward caches its input and activation; Backward must follow the
-/// matching Forward (single-use-per-step discipline, as in a tape).
+/// Forward caches its input and activation.
 class Linear {
  public:
   Linear(std::string name, size_t in_dim, size_t out_dim, bool relu,
@@ -23,9 +38,8 @@ class Linear {
   /// Computes the layer output for `x` [n x in_dim].
   const Tensor& Forward(const Tensor& x);
 
-  /// Given dLoss/dOutput, accumulates weight grads and returns
-  /// dLoss/dInput.
-  Tensor Backward(const Tensor& d_out);
+  /// `d_in` receives dLoss/dInput [n x in_dim].
+  void Backward(Tensor& d_out, Tensor* d_in);
 
   std::vector<Parameter*> Parameters() { return {&weight_, &bias_}; }
   size_t in_dim() const { return weight_.value.rows(); }
@@ -49,8 +63,8 @@ class GcnConv {
   /// `src` is [layer.num_src x in_dim]; returns [layer.num_dst x out_dim].
   const Tensor& Forward(const SampleLayer& layer, const Tensor& src);
 
-  /// Returns dLoss/dSrc [num_src x in_dim].
-  Tensor Backward(const SampleLayer& layer, const Tensor& d_out);
+  /// `d_src` receives dLoss/dSrc [num_src x in_dim].
+  void Backward(const SampleLayer& layer, Tensor& d_out, Tensor* d_src);
 
   std::vector<Parameter*> Parameters() { return {&weight_, &bias_}; }
 
@@ -71,7 +85,7 @@ class SageConv {
            Rng& rng);
 
   const Tensor& Forward(const SampleLayer& layer, const Tensor& src);
-  Tensor Backward(const SampleLayer& layer, const Tensor& d_out);
+  void Backward(const SampleLayer& layer, Tensor& d_out, Tensor* d_src);
 
   std::vector<Parameter*> Parameters() {
     return {&weight_self_, &weight_neigh_, &bias_};

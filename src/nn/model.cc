@@ -1,5 +1,7 @@
 #include "nn/model.h"
 
+#include <utility>
+
 #include "common/logging.h"
 #include "common/rng.h"
 #include "nn/layers.h"
@@ -64,13 +66,18 @@ const Tensor& Gcn::Forward(const SampledSubgraph& sg, const Tensor& input,
 }
 
 void Gcn::Backward(const SampledSubgraph& sg, const Tensor& d_logits) {
+  // Each layer consumes `grad` and writes its input gradient to `next`.
   Tensor grad = d_logits;
+  Tensor next;
   for (auto it = mlp_.rbegin(); it != mlp_.rend(); ++it) {
-    grad = it->Backward(grad);
+    it->Backward(grad, &next);
+    std::swap(grad, next);
   }
   for (size_t l = convs_.size(); l-- > 0;) {
     dropouts_[l].Backward(grad);
-    grad = convs_[l].Backward(sg.layers[l], grad);
+    // Conv 0's input is the raw features: nothing reads its gradient.
+    convs_[l].Backward(sg.layers[l], grad, l > 0 ? &next : nullptr);
+    std::swap(grad, next);
   }
 }
 
@@ -116,13 +123,18 @@ const Tensor& GraphSage::Forward(const SampledSubgraph& sg,
 }
 
 void GraphSage::Backward(const SampledSubgraph& sg, const Tensor& d_logits) {
+  // Each layer consumes `grad` and writes its input gradient to `next`.
   Tensor grad = d_logits;
+  Tensor next;
   for (auto it = mlp_.rbegin(); it != mlp_.rend(); ++it) {
-    grad = it->Backward(grad);
+    it->Backward(grad, &next);
+    std::swap(grad, next);
   }
   for (size_t l = convs_.size(); l-- > 0;) {
     dropouts_[l].Backward(grad);
-    grad = convs_[l].Backward(sg.layers[l], grad);
+    // Conv 0's input is the raw features: nothing reads its gradient.
+    convs_[l].Backward(sg.layers[l], grad, l > 0 ? &next : nullptr);
+    std::swap(grad, next);
   }
 }
 
@@ -172,8 +184,12 @@ const Tensor& Mlp::Forward(const SampledSubgraph& sg, const Tensor& input,
 
 void Mlp::Backward(const SampledSubgraph& /*sg*/, const Tensor& d_logits) {
   Tensor grad = d_logits;
-  for (auto it = layers_.rbegin(); it != layers_.rend(); ++it) {
-    grad = it->Backward(grad);
+  Tensor next;
+  for (size_t l = layers_.size(); l-- > 0;) {
+    // The first layer's input is the raw features: nothing reads its
+    // gradient.
+    layers_[l].Backward(grad, l > 0 ? &next : nullptr);
+    std::swap(grad, next);
   }
 }
 

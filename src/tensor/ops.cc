@@ -42,11 +42,18 @@ void MatMulTransA(const Tensor& a, const Tensor& b, Tensor& out) {
   if (k == 0 || m == 0 || n == 0) return;
   const SimdKernels& simd = Simd();
   // Same contract as MatMul; only the A(i, kk) addressing differs
-  // (A is [k x m], read column-wise via broadcasts).
+  // (A is [k x m], read column-wise via broadcasts). The reduction runs
+  // in ascending kMatMulTransAChunk-row slices per tile: gemm_tile_ta
+  // loads each element's running sum from `out` and stores it back, a
+  // float round trip that changes no bits.
   ParallelFor2D(m, n, /*row_tile=*/64, /*col_tile=*/512,
                 [&](size_t i0, size_t i1, size_t j0, size_t j1) {
-                  simd.gemm_tile_ta(a.data(), m, b.data(), n, out.data(),
-                                    n, i0, i1, j0, j1, k);
+                  for (size_t k0 = 0; k0 < k; k0 += kMatMulTransAChunk) {
+                    simd.gemm_tile_ta(a.data() + k0 * m, m,
+                                      b.data() + k0 * n, n, out.data(), n,
+                                      i0, i1, j0, j1,
+                                      std::min(kMatMulTransAChunk, k - k0));
+                  }
                 });
 }
 

@@ -17,8 +17,19 @@ namespace gnndm {
 /// out i-k-j so both b and out stream row-major.
 void MatMul(const Tensor& a, const Tensor& b, Tensor& out);
 
+/// Rows of the reduction MatMulTransA feeds through one output tile at a
+/// time. A weight gradient reduces over the batch rows (thousands), so
+/// without the split every 4x16 register block streams its two operand
+/// columns from memory. A 32-row slice of a 64x128 tile's operands
+/// (A 8 KB, B 16 KB) stays in L1 while every register block of the tile
+/// consumes it; at the widest 64x512 tile B's 64 KB slice stays in L2.
+inline constexpr size_t kMatMulTransAChunk = 32;
+
 /// out = a^T * b. Shapes: [k x m]^T * [k x n] -> [m x n].
-/// Used for weight gradients: dW = X^T * dY.
+/// Used for weight gradients: dW = X^T * dY. Each output tile runs the
+/// reduction in kMatMulTransAChunk-row slices, ascending; an element's
+/// partial sum is a float stored to `out` and reloaded between slices,
+/// so the bits equal one ascending pass over all k rows.
 void MatMulTransA(const Tensor& a, const Tensor& b, Tensor& out);
 
 /// out = a * b^T. Shapes: [m x k] * [n x k]^T -> [m x n].

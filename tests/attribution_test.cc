@@ -250,11 +250,56 @@ TEST_F(AttributionTrainerTest, DistributedEpochObservesSampleAndGatherWall) {
 
 // One measurement per stage: every wall field of a record is the
 // duration of its batch's span, the same double the trace holds, whether
-// the batch was prepared inline or by a loader worker.
+// the batch was prepared inline or by a loader worker, single-worker or
+// distributed. A distributed epoch steps once per round and charges the
+// step to the batch that closes the round, so only those records carry
+// an optimizer span; the others keep 0.
 TEST_F(AttributionTrainerTest, WallFieldsAreTheirSpansDurations) {
   telemetry::SetEnabled(true);
   if (!telemetry::Enabled()) GTEST_SKIP() << "telemetry compiled out";
   telemetry::Tracer& tracer = telemetry::Tracer::Get();
+  const auto expect_spans_match =
+      [&tracer](const std::vector<BatchAttribution>& records,
+                bool step_per_batch, bool has_producers) {
+        std::map<std::pair<std::string, int64_t>, double> span_seconds;
+        for (const telemetry::TraceEvent& e : tracer.Snapshot()) {
+          if (e.domain != telemetry::ClockDomain::kWall || e.batch < 0) {
+            continue;
+          }
+          EXPECT_TRUE(span_seconds.emplace(std::pair(e.name, e.batch), e.dur)
+                          .second)
+              << "two " << e.name << " spans for batch " << e.batch;
+        }
+        ASSERT_FALSE(records.empty());
+        uint64_t steps = 0;
+        for (const BatchAttribution& r : records) {
+          const auto seconds = [&](const char* name) {
+            const auto it = span_seconds.find({name, r.index});
+            return it == span_seconds.end() ? -1.0 : it->second;
+          };
+          EXPECT_EQ(r.wall_sample, seconds("loader.sample")) << r.index;
+          EXPECT_EQ(r.wall_gather, seconds("loader.gather")) << r.index;
+          EXPECT_EQ(r.wall_compute, seconds("trainer.nn")) << r.index;
+          const double step = seconds("trainer.optimizer");
+          if (step >= 0.0) ++steps;
+          EXPECT_EQ(r.wall_optimizer,
+                    step >= 0.0 || step_per_batch ? step : 0.0)
+              << r.index;
+          if (has_producers) {
+            EXPECT_EQ(r.wall_queue_wait, seconds("loader.consumer_wait"))
+                << r.index;
+          }
+        }
+        // Every step span landed in a record.
+        EXPECT_EQ(steps, tracer.SpanCount("trainer.optimizer",
+                                          telemetry::ClockDomain::kWall));
+        EXPECT_GT(steps, 0u);
+        EXPECT_EQ(tracer.SpanCount("trainer.epoch",
+                                   telemetry::ClockDomain::kWall),
+                  1u);
+      };
+  const PartitionResult partition =
+      HashPartitioner().Partition({dataset_.graph, dataset_.split}, 4, 1);
   for (size_t workers : {size_t{0}, size_t{1}}) {
     SCOPED_TRACE("loader_workers=" + std::to_string(workers));
     TrainerConfig config = SmallConfig();
@@ -263,30 +308,12 @@ TEST_F(AttributionTrainerTest, WallFieldsAreTheirSpansDurations) {
     tracer.Start();
     trainer.TrainEpoch();
     tracer.Stop();
-    std::map<std::pair<std::string, int64_t>, double> span_seconds;
-    for (const telemetry::TraceEvent& e : tracer.Snapshot()) {
-      if (e.domain != telemetry::ClockDomain::kWall || e.batch < 0) continue;
-      EXPECT_TRUE(span_seconds.emplace(std::pair(e.name, e.batch), e.dur)
-                      .second)
-          << "two " << e.name << " spans for batch " << e.batch;
-    }
-    const std::vector<BatchAttribution>& records =
-        trainer.last_epoch_batches();
-    ASSERT_FALSE(records.empty());
-    for (const BatchAttribution& r : records) {
-      const auto seconds = [&](const char* name) {
-        const auto it = span_seconds.find({name, r.index});
-        return it == span_seconds.end() ? -1.0 : it->second;
-      };
-      EXPECT_EQ(r.wall_sample, seconds("loader.sample")) << r.index;
-      EXPECT_EQ(r.wall_gather, seconds("loader.gather")) << r.index;
-      EXPECT_EQ(r.wall_compute, seconds("trainer.nn")) << r.index;
-      EXPECT_EQ(r.wall_optimizer, seconds("trainer.optimizer")) << r.index;
-      if (workers > 0) {
-        EXPECT_EQ(r.wall_queue_wait, seconds("loader.consumer_wait"))
-            << r.index;
-      }
-    }
+    expect_spans_match(trainer.last_epoch_batches(), true, workers > 0);
+    DistTrainer dist(dataset_, partition, config);
+    tracer.Start();
+    dist.TrainEpoch();
+    tracer.Stop();
+    expect_spans_match(dist.last_epoch_batches(), false, workers > 0);
   }
   telemetry::SetEnabled(false);
 }

@@ -1,6 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <functional>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "common/rng.h"
 #include "graph/csr_graph.h"
@@ -179,38 +184,65 @@ ModelConfig NoDropoutConfig() {
   return config;
 }
 
+/// One ReLU-free layer under softmax cross-entropy, for per-coordinate
+/// finite differences (kink-free, unlike a ReLU layer). `forward` runs
+/// the layer on `input`; `backward` is the layer's Backward.
+struct LayerUnderTest {
+  std::function<const Tensor&()> forward;
+  std::function<void(Tensor&, Tensor*)> backward;
+  std::vector<Parameter*> params;
+  Tensor& input;
+  std::vector<int32_t> labels;
+
+  double Loss() const {
+    Tensor unused;
+    return SoftmaxCrossEntropy(forward(), labels, unused);
+  }
+
+  /// Central differences of the loss in every coordinate of `values`,
+  /// compared with `analytic`.
+  void ExpectSlopes(Tensor& values, const Tensor& analytic,
+                    const std::string& what) const {
+    ASSERT_EQ(values.rows(), analytic.rows()) << what;
+    ASSERT_EQ(values.cols(), analytic.cols()) << what;
+    const double eps = 1e-2;
+    for (size_t idx = 0; idx < values.size(); ++idx) {
+      const float original = values.data()[idx];
+      values.data()[idx] = original + static_cast<float>(eps);
+      const double lp = Loss();
+      values.data()[idx] = original - static_cast<float>(eps);
+      const double lm = Loss();
+      values.data()[idx] = original;
+      EXPECT_NEAR(analytic.data()[idx], (lp - lm) / (2 * eps), 2e-3)
+          << what << "[" << idx << "]";
+    }
+  }
+
+  /// Checks every parameter gradient Backward accumulates and the input
+  /// gradient it returns: conv 1 and above, and every Linear but a
+  /// model's first, hand the latter down the chain.
+  void ExpectCoordinateGradients() const {
+    for (Parameter* p : params) p->ZeroGrad();
+    Tensor d_logits;
+    SoftmaxCrossEntropy(forward(), labels, d_logits);
+    Tensor d_input;
+    backward(d_logits, &d_input);
+    for (Parameter* p : params) ExpectSlopes(p->value, p->grad, p->name);
+    ExpectSlopes(input, d_input, "input");
+  }
+};
+
 TEST(LayerGradTest, LinearNoReluCoordinateGradients) {
-  // Kink-free per-coordinate finite differences on a single Linear layer.
   Rng rng(30);
   Linear layer("lin", 5, 3, /*relu=*/false, rng);
   Tensor x(4, 5);
   XavierInit(x, rng);
-  std::vector<int32_t> labels{0, 1, 2, 0};
-
-  auto loss_fn = [&]() {
-    const Tensor& logits = layer.Forward(x);
-    Tensor unused;
-    return SoftmaxCrossEntropy(logits, labels, unused);
-  };
-  for (Parameter* p : layer.Parameters()) p->ZeroGrad();
-  const Tensor& logits = layer.Forward(x);
-  Tensor d_logits;
-  SoftmaxCrossEntropy(logits, labels, d_logits);
-  layer.Backward(d_logits);
-
-  const double eps = 1e-2;
-  for (Parameter* p : layer.Parameters()) {
-    for (size_t idx = 0; idx < p->value.size(); ++idx) {
-      float original = p->value.data()[idx];
-      p->value.data()[idx] = original + static_cast<float>(eps);
-      double lp = loss_fn();
-      p->value.data()[idx] = original - static_cast<float>(eps);
-      double lm = loss_fn();
-      p->value.data()[idx] = original;
-      EXPECT_NEAR(p->grad.data()[idx], (lp - lm) / (2 * eps), 2e-3)
-          << p->name << "[" << idx << "]";
-    }
-  }
+  LayerUnderTest{[&]() -> const Tensor& { return layer.Forward(x); },
+                 [&](Tensor& d_out, Tensor* d_x) {
+                   layer.Backward(d_out, d_x);
+                 },
+                 layer.Parameters(), x, {0, 1, 2, 0}}
+      .ExpectCoordinateGradients();
 }
 
 TEST(LayerGradTest, GcnConvNoReluCoordinateGradients) {
@@ -219,32 +251,12 @@ TEST(LayerGradTest, GcnConvNoReluCoordinateGradients) {
   GcnConv conv("conv", 4, 3, /*relu=*/false, rng);
   Tensor src(4, 4);
   XavierInit(src, rng);
-  std::vector<int32_t> labels{1, 2};
-
-  auto loss_fn = [&]() {
-    const Tensor& logits = conv.Forward(block, src);
-    Tensor unused;
-    return SoftmaxCrossEntropy(logits, labels, unused);
-  };
-  for (Parameter* p : conv.Parameters()) p->ZeroGrad();
-  const Tensor& logits = conv.Forward(block, src);
-  Tensor d_logits;
-  SoftmaxCrossEntropy(logits, labels, d_logits);
-  conv.Backward(block, d_logits);
-
-  const double eps = 1e-2;
-  for (Parameter* p : conv.Parameters()) {
-    for (size_t idx = 0; idx < p->value.size(); ++idx) {
-      float original = p->value.data()[idx];
-      p->value.data()[idx] = original + static_cast<float>(eps);
-      double lp = loss_fn();
-      p->value.data()[idx] = original - static_cast<float>(eps);
-      double lm = loss_fn();
-      p->value.data()[idx] = original;
-      EXPECT_NEAR(p->grad.data()[idx], (lp - lm) / (2 * eps), 2e-3)
-          << p->name << "[" << idx << "]";
-    }
-  }
+  LayerUnderTest{[&]() -> const Tensor& { return conv.Forward(block, src); },
+                 [&](Tensor& d_out, Tensor* d_src) {
+                   conv.Backward(block, d_out, d_src);
+                 },
+                 conv.Parameters(), src, {1, 2}}
+      .ExpectCoordinateGradients();
 }
 
 TEST(LayerGradTest, SageConvNoReluCoordinateGradients) {
@@ -253,32 +265,12 @@ TEST(LayerGradTest, SageConvNoReluCoordinateGradients) {
   SageConv conv("sage", 4, 3, /*relu=*/false, rng);
   Tensor src(4, 4);
   XavierInit(src, rng);
-  std::vector<int32_t> labels{0, 2};
-
-  auto loss_fn = [&]() {
-    const Tensor& logits = conv.Forward(block, src);
-    Tensor unused;
-    return SoftmaxCrossEntropy(logits, labels, unused);
-  };
-  for (Parameter* p : conv.Parameters()) p->ZeroGrad();
-  const Tensor& logits = conv.Forward(block, src);
-  Tensor d_logits;
-  SoftmaxCrossEntropy(logits, labels, d_logits);
-  conv.Backward(block, d_logits);
-
-  const double eps = 1e-2;
-  for (Parameter* p : conv.Parameters()) {
-    for (size_t idx = 0; idx < p->value.size(); ++idx) {
-      float original = p->value.data()[idx];
-      p->value.data()[idx] = original + static_cast<float>(eps);
-      double lp = loss_fn();
-      p->value.data()[idx] = original - static_cast<float>(eps);
-      double lm = loss_fn();
-      p->value.data()[idx] = original;
-      EXPECT_NEAR(p->grad.data()[idx], (lp - lm) / (2 * eps), 2e-3)
-          << p->name << "[" << idx << "]";
-    }
-  }
+  LayerUnderTest{[&]() -> const Tensor& { return conv.Forward(block, src); },
+                 [&](Tensor& d_out, Tensor* d_src) {
+                   conv.Backward(block, d_out, d_src);
+                 },
+                 conv.Parameters(), src, {0, 2}}
+      .ExpectCoordinateGradients();
 }
 
 TEST(ModelTest, GcnGradientsMatchNumerical) {
@@ -297,6 +289,125 @@ TEST(ModelTest, MlpGradientsMatchNumerical) {
   ModelFixture fx(12);
   Mlp model(NoDropoutConfig());
   CheckModelGradients(model, fx.sg, fx.input, fx.labels);
+}
+
+/// Parameter gradients of one forward/backward of `model` on the
+/// fixture, in Parameters() order.
+std::vector<Tensor> ModelGradients(GnnModel& model, const ModelFixture& fx) {
+  for (Parameter* p : model.Parameters()) p->ZeroGrad();
+  Tensor d_logits;
+  SoftmaxCrossEntropy(model.Forward(fx.sg, fx.input, /*train=*/true),
+                      fx.labels, d_logits);
+  model.Backward(fx.sg, d_logits);
+  std::vector<Tensor> grads;
+  for (Parameter* p : model.Parameters()) grads.push_back(p->grad);
+  return grads;
+}
+
+/// The same gradients through standalone layers that always compute
+/// their input gradient: `num_convs` ReLU convs, then ReLU Linears and
+/// an output Linear, loaded with `model`'s weights. With no convs (the
+/// MLP) the first Linear reads the seed rows, as Mlp::Forward does.
+template <typename Conv>
+std::vector<Tensor> FullChainGradients(GnnModel& model,
+                                       const ModelFixture& fx,
+                                       const ModelConfig& config,
+                                       size_t num_convs,
+                                       size_t num_linears) {
+  Rng rng(0);
+  std::vector<Conv> convs;
+  std::vector<Linear> linears;
+  std::vector<Parameter*> params;
+  size_t dim = config.in_dim;
+  for (size_t l = 0; l < num_convs; ++l) {
+    convs.emplace_back("conv", dim, config.hidden_dim, /*relu=*/true, rng);
+    dim = config.hidden_dim;
+  }
+  for (size_t l = 0; l < num_linears; ++l) {
+    const bool last = l + 1 == num_linears;
+    const size_t out = last ? config.num_classes : config.hidden_dim;
+    linears.emplace_back("fc", dim, out, /*relu=*/!last, rng);
+    dim = out;
+  }
+  for (Conv& conv : convs) {
+    for (Parameter* p : conv.Parameters()) params.push_back(p);
+  }
+  for (Linear& linear : linears) {
+    for (Parameter* p : linear.Parameters()) params.push_back(p);
+  }
+  const std::vector<Parameter*> model_params = model.Parameters();
+  EXPECT_EQ(params.size(), model_params.size());
+  for (size_t i = 0; i < params.size() && i < model_params.size(); ++i) {
+    params[i]->value = model_params[i]->value;
+    params[i]->ZeroGrad();
+  }
+
+  Tensor h = fx.input;
+  if (num_convs == 0) {
+    h.Resize(fx.labels.size(), fx.input.cols());
+    std::memcpy(h.data(), fx.input.data(), h.size() * sizeof(float));
+  }
+  for (size_t l = 0; l < convs.size(); ++l) {
+    h = convs[l].Forward(fx.sg.layers[l], h);
+  }
+  for (Linear& linear : linears) h = linear.Forward(h);
+  Tensor grad;
+  SoftmaxCrossEntropy(h, fx.labels, grad);
+  Tensor next;
+  for (size_t l = linears.size(); l-- > 0;) {
+    linears[l].Backward(grad, &next);
+    std::swap(grad, next);
+  }
+  for (size_t l = convs.size(); l-- > 0;) {
+    convs[l].Backward(fx.sg.layers[l], grad, &next);
+    std::swap(grad, next);
+  }
+  std::vector<Tensor> grads;
+  for (Parameter* p : params) grads.push_back(p->grad);
+  return grads;
+}
+
+void ExpectSameBytes(const std::vector<Tensor>& got,
+                     const std::vector<Tensor>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < got.size(); ++i) {
+    ASSERT_EQ(got[i].rows(), want[i].rows()) << "parameter " << i;
+    ASSERT_EQ(got[i].cols(), want[i].cols()) << "parameter " << i;
+    EXPECT_EQ(std::memcmp(got[i].data(), want[i].data(),
+                          got[i].size() * sizeof(float)),
+              0)
+        << "parameter " << i;
+  }
+}
+
+// A model skips the input gradient of its first layer; its parameter
+// gradients must be the bytes a chain computing every input gradient
+// produces.
+TEST(ModelTest, SkippedInputGradientLeavesParameterGradientsBitIdentical) {
+  const ModelConfig config = NoDropoutConfig();
+  const size_t convs = config.num_conv_layers;
+  const size_t heads = config.num_mlp_layers;
+  {
+    ModelFixture fx(14);
+    Gcn model(config);
+    ExpectSameBytes(ModelGradients(model, fx),
+                    FullChainGradients<GcnConv>(model, fx, config, convs,
+                                                heads));
+  }
+  {
+    ModelFixture fx(15);
+    GraphSage model(config);
+    ExpectSameBytes(ModelGradients(model, fx),
+                    FullChainGradients<SageConv>(model, fx, config, convs,
+                                                 heads));
+  }
+  {
+    ModelFixture fx(16);
+    Mlp model(config);
+    ExpectSameBytes(ModelGradients(model, fx),
+                    FullChainGradients<GcnConv>(model, fx, config, 0,
+                                                convs + heads));
+  }
 }
 
 TEST(ModelTest, ForwardShapesMatchSeeds) {

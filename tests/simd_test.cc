@@ -10,6 +10,8 @@
 #include <cmath>
 #include <cstring>
 #include <functional>
+#include <iterator>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -150,6 +152,62 @@ TEST(SimdTest, MatMulTransABitIdentical) {
     FillTensor(b, 44);
     ExpectBitIdenticalAcrossTiers(
         [&](Tensor& out) { MatMulTransA(a, b, out); }, "MatMulTransA");
+  }
+}
+
+/// One ascending pass over all k rows per element, each multiply and
+/// add rounded on its own: the bits MatMulTransA's k-chunked tiles must
+/// reproduce.
+Tensor NaiveMatMulTransA(const Tensor& a, const Tensor& b) {
+  const size_t k = a.rows(), m = a.cols(), n = b.cols();
+  Tensor out(m, n);
+  for (size_t i = 0; i < m; ++i) {
+    for (size_t j = 0; j < n; ++j) {
+      float s = 0.0f;
+      for (size_t kk = 0; kk < k; ++kk) s += a.at(kk, i) * b.at(kk, j);
+      out.at(i, j) = s;
+    }
+  }
+  return out;
+}
+
+/// FillTensor plus signed zeros and subnormals, so a chunk boundary
+/// that rounded or flushed a partial sum would show in the bytes.
+void FillWithSpecials(Tensor& t, uint64_t seed) {
+  FillTensor(t, seed);
+  const float specials[] = {-0.0f, 0.0f,
+                            std::numeric_limits<float>::denorm_min(),
+                            -3.0e-39f, 1.0e-40f};
+  for (size_t i = 0; i < t.size(); i += 5) {
+    t.data()[i] = specials[(i / 5) % std::size(specials)];
+  }
+}
+
+TEST(SimdTest, MatMulTransAMatchesNaiveAscendingLoop) {
+  ThreadGuard threads;
+  TierGuard tier;
+  const size_t c = kMatMulTransAChunk;
+  const size_t dims[] = {1, 7, 17, 65, 128};
+  for (size_t k : {size_t{0}, size_t{1}, c - 1, c, c + 1, 3 * c + 5}) {
+    for (size_t m : dims) {
+      for (size_t n : dims) {
+        Tensor a(k, m), b(k, n);
+        FillWithSpecials(a, 7 * k + m);
+        FillWithSpecials(b, 11 * k + n);
+        const Tensor want = NaiveMatMulTransA(a, b);
+        for (SimdTier t : CompiledSimdTiers()) {
+          ASSERT_TRUE(SetSimdTier(t).ok());
+          for (size_t threads_n : {1, 4}) {
+            SetComputeThreads(threads_n);
+            Tensor got;
+            MatMulTransA(a, b, got);
+            EXPECT_TRUE(SameBytes(want, got))
+                << "k=" << k << " m=" << m << " n=" << n << " tier "
+                << SimdTierName(t) << " at " << threads_n << " threads";
+          }
+        }
+      }
+    }
   }
 }
 

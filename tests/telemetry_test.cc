@@ -361,6 +361,21 @@ TEST(TracerTest, WriteChromeTraceRoundTrips) {
   EXPECT_NE(buffer.str().find("test.write.span"), std::string::npos);
 }
 
+// A run that records no event (telemetry off, or compiled out) still
+// writes its trace: the metadata records alone must form valid JSON.
+TEST(TracerTest, EmptyTraceIsWellFormed) {
+  Tracer& tracer = Tracer::Get();
+  tracer.Start();
+  tracer.Stop();
+  ASSERT_TRUE(tracer.Snapshot().empty());
+  const std::string json = tracer.ToChromeJson();
+  EXPECT_TRUE(JsonLint(json).ok()) << JsonLint(json).ToString();
+  EXPECT_NE(json.find("\"process_name\""), std::string::npos);
+  const std::string path =
+      ::testing::TempDir() + "/telemetry_test_empty_trace.json";
+  EXPECT_TRUE(tracer.WriteChromeTrace(path).ok());
+}
+
 TEST(TracerTest, ConcurrentSpanRecording) {
   Tracer& tracer = Tracer::Get();
   tracer.Start();
