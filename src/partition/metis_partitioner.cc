@@ -15,7 +15,8 @@
 namespace gnndm {
 namespace {
 
-/// Weighted graph used internally across coarsening levels.
+/// Weighted graph used internally across coarsening levels. Each row is
+/// sorted by neighbour id, with parallel edges merged into one weight.
 struct WGraph {
   std::vector<uint64_t> offsets;   // n + 1
   std::vector<uint32_t> adj;       // neighbor ids
@@ -23,9 +24,34 @@ struct WGraph {
   std::vector<uint64_t> vweights;  // n * nc, row-major
   uint32_t n = 0;
   int nc = 1;
+  /// Every entry (v, u) has a twin (u, v) of the same weight. Contraction
+  /// keeps the twins, so the input's flag holds at every level.
+  bool symmetric = true;
 
   uint64_t vw(uint32_t v, int c) const { return vweights[v * nc + c]; }
 };
+
+/// True iff u is in v's row exactly when v is in u's. Rows are sorted and
+/// duplicate-free, so visiting the rows in order hands each row u its
+/// mirrored ids in ascending order, and one cursor per row checks them.
+bool IsSymmetric(const CsrGraph& graph) {
+  const std::vector<EdgeId>& offsets = graph.offsets();
+  const std::vector<VertexId>& adj = graph.adjacency();
+  const VertexId n = graph.num_vertices();
+  if (n == 0) return true;
+  std::vector<EdgeId> cursor(offsets.begin(), offsets.end() - 1);
+  for (VertexId v = 0; v < n; ++v) {
+    for (EdgeId e = offsets[v]; e < offsets[v + 1]; ++e) {
+      const VertexId u = adj[e];
+      if (cursor[u] == offsets[u + 1] || adj[cursor[u]] != v) return false;
+      ++cursor[u];
+    }
+  }
+  for (VertexId u = 0; u < n; ++u) {
+    if (cursor[u] != offsets[u + 1]) return false;
+  }
+  return true;
+}
 
 WGraph FromCsr(const CsrGraph& graph,
                const std::vector<uint32_t>& vertex_weights, int nc) {
@@ -36,6 +62,7 @@ WGraph FromCsr(const CsrGraph& graph,
   g.adj.assign(graph.adjacency().begin(), graph.adjacency().end());
   g.eweights.assign(g.adj.size(), 1);
   g.vweights.assign(vertex_weights.begin(), vertex_weights.end());
+  g.symmetric = IsSymmetric(graph);
   return g;
 }
 
@@ -65,13 +92,46 @@ std::vector<uint32_t> HeavyEdgeMatch(const WGraph& g, Rng& rng) {
   return match;
 }
 
-/// Per-run workspace for Coarsen, reused across levels: `slot[cu]` is
-/// coarse vertex cu's index in the row being built, or kNoSlot, and
-/// `row_weight[slot]` is that neighbour's merged edge weight.
+/// CSR rows with edge weights, as Coarsen's scratch holds them.
+struct Rows {
+  std::vector<uint64_t> offsets;
+  std::vector<uint32_t> adj;
+  std::vector<uint32_t> eweights;
+};
+
+/// Counting transpose of the first `n` rows of `in` into `out`, whose
+/// arrays must already hold `n` + 1 offsets and every entry: row u of
+/// `out` lists, in ascending order, each row v of `in` whose list holds u,
+/// with that entry's weight. Both are a Rows or a WGraph. `cursor` is
+/// workspace.
+template <typename In, typename Out>
+void Transpose(uint32_t n, const In& in, Out& out,
+               std::vector<uint64_t>& cursor) {
+  std::fill(out.offsets.begin(), out.offsets.begin() + n + 1, 0);
+  for (uint64_t e = 0; e < in.offsets[n]; ++e) ++out.offsets[in.adj[e] + 1];
+  for (uint32_t u = 0; u < n; ++u) out.offsets[u + 1] += out.offsets[u];
+  cursor.assign(out.offsets.begin(), out.offsets.begin() + n);
+  for (uint32_t v = 0; v < n; ++v) {
+    for (uint64_t e = in.offsets[v]; e < in.offsets[v + 1]; ++e) {
+      const uint64_t at = cursor[in.adj[e]]++;
+      out.adj[at] = v;
+      out.eweights[at] = in.eweights[e];
+    }
+  }
+}
+
+/// Per-run workspace for Coarsen, reused across levels so that a level
+/// allocates only its own exactly-sized arrays.
 struct CoarsenScratch {
   static constexpr uint32_t kNoSlot = UINT32_MAX;
+  /// slot[cu]: coarse neighbour cu's index in the row being merged, or
+  /// kNoSlot.
   std::vector<uint32_t> slot;
-  std::vector<uint32_t> row_weight;
+  /// The merged rows, each in first-seen neighbour order.
+  Rows merged;
+  /// Their transpose, for an asymmetric level only.
+  Rows transposed;
+  std::vector<uint64_t> cursor;
 };
 
 /// Contracts matched pairs into a coarser graph; fills `coarse_of` with
@@ -91,22 +151,26 @@ WGraph Coarsen(const WGraph& g, const std::vector<uint32_t>& match,
   WGraph coarse;
   coarse.n = next;
   coarse.nc = g.nc;
+  coarse.symmetric = g.symmetric;
   coarse.vweights.assign(static_cast<size_t>(next) * g.nc, 0);
-  coarse.offsets.assign(next + 1, 0);
-  // Every fine edge that survives contraction lands in one coarse row, so
-  // the fine edge count bounds the coarse one; the level is trimmed to
-  // its exact size below because every level lives until uncoarsening.
-  coarse.adj.reserve(g.adj.size());
-  coarse.eweights.reserve(g.adj.size());
   if (scratch.slot.size() < next) {
     scratch.slot.resize(next, CoarsenScratch::kNoSlot);
+  }
+  // Every fine edge that survives contraction lands in one coarse row, so
+  // the fine edge count bounds the merged rows. The scratch only grows, so
+  // it is sized once, by the input level.
+  Rows& merged = scratch.merged;
+  merged.offsets.resize(static_cast<size_t>(next) + 1);
+  if (merged.adj.size() < g.adj.size()) {
+    merged.adj.resize(g.adj.size());
+    merged.eweights.resize(g.adj.size());
   }
 
   // Coarse ids follow the lower-numbered member of each pair, so visiting
   // those members in order builds the coarse rows in order, each from its
-  // one or two fine rows. Parallel edges merge through `slot`, and the
-  // row's unique neighbor ids are then sorted: the same neighbor-ordered,
-  // merged row a sort of the raw (neighbor, weight) pairs gave.
+  // one or two fine rows. Parallel edges merge through `slot`.
+  merged.offsets[0] = 0;
+  uint64_t end = 0;
   for (uint32_t v = 0; v < g.n; ++v) {
     const uint32_t partner = match[v];
     if (partner < v) continue;  // built with its pair's lower member
@@ -116,33 +180,47 @@ WGraph Coarsen(const WGraph& g, const std::vector<uint32_t>& match,
       if (partner != v) w += g.vw(partner, c);
       coarse.vweights[static_cast<size_t>(cv) * g.nc + c] = w;
     }
-    const uint64_t row_begin = coarse.adj.size();
-    scratch.row_weight.clear();
+    const uint64_t row_begin = end;
     for (uint32_t member : {v, partner}) {
       for (uint64_t e = g.offsets[member]; e < g.offsets[member + 1]; ++e) {
         const uint32_t cu = coarse_of[g.adj[e]];
         if (cu == cv) continue;  // intra-pair edge disappears
         uint32_t& slot = scratch.slot[cu];
         if (slot == CoarsenScratch::kNoSlot) {
-          slot = static_cast<uint32_t>(scratch.row_weight.size());
-          coarse.adj.push_back(cu);
-          scratch.row_weight.push_back(g.eweights[e]);
+          slot = static_cast<uint32_t>(end - row_begin);
+          merged.adj[end] = cu;
+          merged.eweights[end] = g.eweights[e];
+          ++end;
         } else {
-          scratch.row_weight[slot] += g.eweights[e];
+          merged.eweights[row_begin + slot] += g.eweights[e];
         }
       }
       if (partner == v) break;
     }
-    std::sort(coarse.adj.begin() + row_begin, coarse.adj.end());
-    for (uint64_t i = row_begin; i < coarse.adj.size(); ++i) {
-      uint32_t& slot = scratch.slot[coarse.adj[i]];
-      coarse.eweights.push_back(scratch.row_weight[slot]);
-      slot = CoarsenScratch::kNoSlot;
+    for (uint64_t i = row_begin; i < end; ++i) {
+      scratch.slot[merged.adj[i]] = CoarsenScratch::kNoSlot;
     }
-    coarse.offsets[cv + 1] = coarse.adj.size();
+    merged.offsets[cv + 1] = end;
   }
-  coarse.adj.shrink_to_fit();
-  coarse.eweights.shrink_to_fit();
+
+  // A counting transpose lists each row's neighbours in ascending order.
+  // The transpose of a symmetric level is the level itself, so one pass
+  // gives the sorted rows; an asymmetric level takes a second.
+  coarse.offsets.resize(static_cast<size_t>(next) + 1);
+  coarse.adj.resize(end);
+  coarse.eweights.resize(end);
+  if (g.symmetric) {
+    Transpose(next, merged, coarse, scratch.cursor);
+  } else {
+    Rows& t = scratch.transposed;
+    t.offsets.resize(static_cast<size_t>(next) + 1);
+    if (t.adj.size() < end) {
+      t.adj.resize(end);
+      t.eweights.resize(end);
+    }
+    Transpose(next, merged, t, scratch.cursor);
+    Transpose(next, t, coarse, scratch.cursor);
+  }
   return coarse;
 }
 

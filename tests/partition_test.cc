@@ -230,6 +230,44 @@ TEST(MetisPartitionerTest, AssignmentsArePinned) {
   }
 }
 
+// A directed input (built with symmetrize=false) has rows that are not
+// mirrored, which the coarsener builds differently; pinned the same way.
+TEST(MetisPartitionerTest, DirectedInputIsPinned) {
+  struct Pin {
+    MetisMode mode;
+    uint32_t parts;
+    uint64_t hash;
+    uint64_t cut;
+  };
+  const Pin pins[] = {
+      {MetisMode::kV, 4, 0x6f8df143530f6164ull, 9424},
+      {MetisMode::kVE, 4, 0xb14941ce5f77d006ull, 10485},
+      {MetisMode::kVET, 8, 0xb0d7a7d2b9dde310ull, 18491},
+  };
+  Workload w(24, 6000);
+  std::vector<Edge> edges;
+  for (VertexId v = 0; v < w.cg.graph.num_vertices(); ++v) {
+    for (VertexId u : w.cg.graph.neighbors(v)) {
+      if (u < v || (u ^ v) % 4 == 0) edges.push_back({u, v});
+    }
+  }
+  auto directed = CsrGraph::FromEdges(w.cg.graph.num_vertices(),
+                                      std::move(edges),
+                                      /*symmetrize=*/false);
+  ASSERT_TRUE(directed.ok());
+  const CsrGraph& graph = directed.value();
+  const PartitionInput input{graph, w.split};
+  for (const Pin& pin : pins) {
+    MetisPartitioner metis(pin.mode);
+    PartitionResult result = metis.Partition(input, pin.parts, 19);
+    EXPECT_EQ(Fnv1a(result.assignment), pin.hash)
+        << metis.name() << " x" << pin.parts << std::hex << " hash 0x"
+        << Fnv1a(result.assignment);
+    EXPECT_EQ(result.EdgeCut(graph), pin.cut)
+        << metis.name() << " x" << pin.parts;
+  }
+}
+
 TEST(MetisClusterTest, ClustersArePinned) {
   Workload w(22, 6000);
   PartitionResult clusters;
