@@ -135,31 +135,15 @@ struct KernelReport {
   std::vector<ThreadSample> samples;
 };
 
-std::vector<size_t> ParseThreadList(const std::string& csv) {
-  std::vector<size_t> out;
-  size_t start = 0;
-  while (start <= csv.size()) {
-    const size_t comma = csv.find(',', start);
-    const std::string tok =
-        comma == std::string::npos ? csv.substr(start)
-                                   : csv.substr(start, comma - start);
-    if (!tok.empty()) {
-      const long v = std::strtol(tok.c_str(), nullptr, 10);
-      if (v > 1) out.push_back(static_cast<size_t>(v));
-    }
-    if (comma == std::string::npos) break;
-    start = comma + 1;
-  }
-  return out;
-}
-
 int Run(int argc, char** argv) {
   Flags flags(argc, argv);
   const bool quick = flags.GetBool("quick", false);
   const int reps =
       static_cast<int>(flags.GetInt("reps", quick ? 3 : 5));
-  const std::vector<size_t> thread_list =
-      ParseThreadList(flags.GetString("threads", "2,4,8"));
+  std::vector<size_t> thread_list;
+  for (uint32_t t : flags.GetPositiveList("threads", "2,4,8")) {
+    if (t > 1) thread_list.push_back(t);
+  }
   const std::string json_path =
       flags.GetString("json", "BENCH_kernels.json");
   const std::string simd_choice = flags.GetString("simd", "auto");

@@ -50,4 +50,23 @@ bool Flags::GetBool(const std::string& key, bool default_value) const {
   return it->second == "true" || it->second == "1" || it->second == "yes";
 }
 
+std::vector<uint32_t> Flags::GetPositiveList(
+    const std::string& key, const std::string& default_csv) const {
+  const std::string csv = GetString(key, default_csv);
+  std::vector<uint32_t> out;
+  size_t start = 0;
+  while (start <= csv.size()) {
+    size_t comma = csv.find(',', start);
+    if (comma == std::string::npos) comma = csv.size();
+    const std::string entry = csv.substr(start, comma - start);
+    char* end = nullptr;
+    const long long v = std::strtoll(entry.c_str(), &end, 10);
+    if (end != entry.c_str() && *end == '\0' && v >= 1 && v <= UINT32_MAX) {
+      out.push_back(static_cast<uint32_t>(v));
+    }
+    start = comma + 1;
+  }
+  return out;
+}
+
 }  // namespace gnndm

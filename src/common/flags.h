@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <vector>
 
 namespace gnndm {
 
@@ -20,6 +21,11 @@ class Flags {
   int64_t GetInt(const std::string& key, int64_t default_value) const;
   double GetDouble(const std::string& key, double default_value) const;
   bool GetBool(const std::string& key, bool default_value) const;
+  /// A comma-separated list of counts (`--parts=4,8`). Entries that are
+  /// empty, not a whole decimal number, or outside [1, UINT32_MAX] are
+  /// skipped.
+  std::vector<uint32_t> GetPositiveList(const std::string& key,
+                                        const std::string& default_csv) const;
 
  private:
   std::map<std::string, std::string> values_;

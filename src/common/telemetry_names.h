@@ -52,6 +52,11 @@ inline constexpr char kParallelSerialLoops[] = "parallel.serial_loops";
 inline constexpr char kParallelChunks[] = "parallel.chunks";
 inline constexpr char kParallelImbalance[] = "parallel.imbalance";
 
+// partition (multilevel Metis engine)
+inline constexpr char kPartitionCoarsenLevels[] = "partition.coarsen_levels";
+inline constexpr char kPartitionCoarsestVertices[] =
+    "partition.coarsest_vertices";
+
 // pool (shared ThreadPool)
 inline constexpr char kPoolTasks[] = "pool.tasks";
 

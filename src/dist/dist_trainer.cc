@@ -56,11 +56,6 @@ DistTrainer::DistTrainer(const Dataset& dataset,
   }
 }
 
-bool DistTrainer::IsLocal(VertexId v, uint32_t worker) const {
-  return partition_.assignment[v] == worker ||
-         workers_[worker].halo.count(v) > 0;
-}
-
 double DistTrainer::RunWorkerBatch(uint32_t worker,
                                    const PreparedBatch& batch,
                                    DistEpochStats& stats, double& loss_sum,
@@ -72,17 +67,29 @@ double DistTrainer::RunWorkerBatch(uint32_t worker,
   ++ledger.batches;
 
   // Remote traffic: structures for remote expansions, features for
-  // remote input vertices; halo vertices are local.
+  // remote input vertices; halo vertices are local (Metis and hash
+  // partitions have no halo). `contacted` flags each peer read from.
+  std::vector<uint8_t> contacted(partition_.num_parts, 0);
+  uint32_t peers = 0;
+  auto remote = [&](VertexId v) {
+    const uint32_t owner = partition_.assignment[v];
+    if (owner == worker || (!w.halo.empty() && w.halo.count(v) > 0)) {
+      return false;
+    }
+    if (!contacted[owner]) {
+      contacted[owner] = 1;
+      ++peers;
+    }
+    return true;
+  };
   uint64_t structure_bytes = 0;
-  std::unordered_set<uint32_t> peers;
   for (uint32_t l = 0; l < sg.num_layers(); ++l) {
     const SampleLayer& layer = sg.layers[l];
     const std::vector<VertexId>& dst_ids = sg.node_ids[l + 1];
     for (uint32_t i = 0; i < layer.num_dst; ++i) {
-      if (!IsLocal(dst_ids[i], worker)) {
+      if (remote(dst_ids[i])) {
         structure_bytes +=
             8ull * (layer.offsets[i + 1] - layer.offsets[i]);
-        peers.insert(partition_.assignment[dst_ids[i]]);
       }
     }
   }
@@ -97,10 +104,7 @@ double DistTrainer::RunWorkerBatch(uint32_t worker,
                                config_.hidden_dim * sizeof(float))
           : dataset_.features.BytesPerVertex();
   for (VertexId v : sg.input_vertices()) {
-    if (!IsLocal(v, worker)) {
-      feature_bytes += row_bytes;
-      peers.insert(partition_.assignment[v]);
-    }
+    if (remote(v)) feature_bytes += row_bytes;
   }
   ledger.remote_structure_bytes += structure_bytes;
   ledger.remote_feature_bytes += feature_bytes;
@@ -110,10 +114,10 @@ double DistTrainer::RunWorkerBatch(uint32_t worker,
     telemetry::GetCounter(telemetry_names::kDistFeatureBytes)
         .Add(feature_bytes);
     telemetry::GetCounter(telemetry_names::kDistPeerContacts)
-        .Add(peers.size());
+        .Add(peers);
   }
   const double network_seconds =
-      network_.Seconds(structure_bytes + feature_bytes, peers.size());
+      network_.Seconds(structure_bytes + feature_bytes, peers);
 
   // Shared pipeline tail: host->device transfer (through the worker's
   // GPU cache, if configured) + NN forward/backward. Gradients accumulate

@@ -79,7 +79,6 @@ class DistTrainer : public TrainerBase {
     Rng rng{0};
   };
 
-  bool IsLocal(VertexId v, uint32_t worker) const;
   /// Trains one prepared batch on `worker`: charges its remote traffic to
   /// the network model, accumulates into the shared model's gradients (no
   /// step), appends the batch's stall-attribution record to `attribs`,

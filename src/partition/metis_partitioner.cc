@@ -8,6 +8,7 @@
 #include "common/logging.h"
 #include "common/rng.h"
 #include "common/telemetry.h"
+#include "common/telemetry_names.h"
 #include "common/timer.h"
 #include "graph/csr_graph.h"
 #include "partition/partitioner.h"
@@ -22,6 +23,7 @@ struct WGraph {
   std::vector<uint32_t> adj;       // neighbor ids
   std::vector<uint32_t> eweights;  // parallel to adj
   std::vector<uint64_t> vweights;  // n * nc, row-major
+  std::vector<uint32_t> members;   // input vertices merged into each
   uint32_t n = 0;
   int nc = 1;
   /// Every entry (v, u) has a twin (u, v) of the same weight. Contraction
@@ -62,34 +64,9 @@ WGraph FromCsr(const CsrGraph& graph,
   g.adj.assign(graph.adjacency().begin(), graph.adjacency().end());
   g.eweights.assign(g.adj.size(), 1);
   g.vweights.assign(vertex_weights.begin(), vertex_weights.end());
+  g.members.assign(g.n, 1);
   g.symmetric = IsSymmetric(graph);
   return g;
-}
-
-/// Heavy-edge matching: greedily pairs each unmatched vertex with its
-/// unmatched neighbor of maximum edge weight. Returns match[v] (= v for
-/// unmatched singletons).
-std::vector<uint32_t> HeavyEdgeMatch(const WGraph& g, Rng& rng) {
-  std::vector<uint32_t> match(g.n, UINT32_MAX);
-  std::vector<uint32_t> order(g.n);
-  std::iota(order.begin(), order.end(), 0u);
-  rng.Shuffle(order);
-  for (uint32_t v : order) {
-    if (match[v] != UINT32_MAX) continue;
-    uint32_t best = v;
-    uint32_t best_w = 0;
-    for (uint64_t e = g.offsets[v]; e < g.offsets[v + 1]; ++e) {
-      uint32_t u = g.adj[e];
-      if (u == v || match[u] != UINT32_MAX) continue;
-      if (g.eweights[e] > best_w) {
-        best_w = g.eweights[e];
-        best = u;
-      }
-    }
-    match[v] = best;
-    match[best] = v;
-  }
-  return match;
 }
 
 /// CSR rows with edge weights, as Coarsen's scratch holds them.
@@ -120,8 +97,8 @@ void Transpose(uint32_t n, const In& in, Out& out,
   }
 }
 
-/// Per-run workspace for Coarsen, reused across levels so that a level
-/// allocates only its own exactly-sized arrays.
+/// Per-run workspace for matching and Coarsen, reused across levels so
+/// that a level allocates only its own exactly-sized arrays.
 struct CoarsenScratch {
   static constexpr uint32_t kNoSlot = UINT32_MAX;
   /// slot[cu]: coarse neighbour cu's index in the row being merged, or
@@ -132,7 +109,165 @@ struct CoarsenScratch {
   /// Their transpose, for an asymmetric level only.
   Rows transposed;
   std::vector<uint64_t> cursor;
+  /// 2-hop matching's lists: hub u's candidates are
+  /// hub_members[hub_offsets[u]..hub_offsets[u + 1]).
+  std::vector<uint64_t> hub_offsets;
+  std::vector<uint32_t> hub_members;
 };
+
+constexpr uint32_t kUnmatched = UINT32_MAX;
+
+/// METIS's cap on the size of a coarse vertex (its maxvwgt): a pair may
+/// merge only if the result weighs at most 1.5 x total / coarsen target
+/// on every constraint and holds at most that share of the input's
+/// vertices. Uncapped heavy-edge matching grows clusters around hubs and
+/// leaves a coarsest graph too lumpy to balance.
+class MatchCaps {
+ public:
+  MatchCaps(const WGraph& input, uint32_t coarsen_target)
+      : vweight_(input.nc, 0) {
+    for (uint32_t v = 0; v < input.n; ++v) {
+      for (int c = 0; c < input.nc; ++c) vweight_[c] += input.vw(v, c);
+    }
+    auto cap = [&](uint64_t total) {
+      return static_cast<uint64_t>(1.5 * static_cast<double>(total) /
+                                   coarsen_target);
+    };
+    for (uint64_t& w : vweight_) w = cap(w);
+    members_ = cap(input.n);
+  }
+
+  bool Fit(const WGraph& g, uint32_t v, uint32_t u) const {
+    if (uint64_t{g.members[v]} + g.members[u] > members_) return false;
+    for (int c = 0; c < g.nc; ++c) {
+      if (g.vw(v, c) + g.vw(u, c) > vweight_[c]) return false;
+    }
+    return true;
+  }
+
+ private:
+  std::vector<uint64_t> vweight_;  // per constraint
+  uint64_t members_ = 0;
+};
+
+/// One 2-hop round (LaSalle et al., METIS's Match_2HopAny): every vertex
+/// lists its unmatched neighbours of degree below `max_degree`, in
+/// `order`, and pairs each, from the front of the list, with the last
+/// one behind it that `caps` allow. Returns the new unmatched count.
+uint64_t TwoHopMatch(const WGraph& g, const MatchCaps& caps,
+                     const std::vector<uint32_t>& order, uint32_t max_degree,
+                     uint64_t unmatched, std::vector<uint32_t>& match,
+                     CoarsenScratch& scratch) {
+  auto candidate = [&](uint32_t v) {
+    const uint64_t degree = g.offsets[v + 1] - g.offsets[v];
+    return match[v] == kUnmatched && degree > 0 && degree < max_degree;
+  };
+  std::vector<uint64_t>& offsets = scratch.hub_offsets;
+  std::vector<uint32_t>& members = scratch.hub_members;
+  offsets.assign(static_cast<size_t>(g.n) + 1, 0);
+  for (uint32_t v = 0; v < g.n; ++v) {
+    if (!candidate(v)) continue;
+    for (uint64_t e = g.offsets[v]; e < g.offsets[v + 1]; ++e) {
+      ++offsets[g.adj[e] + 1];
+    }
+  }
+  for (uint32_t u = 0; u < g.n; ++u) offsets[u + 1] += offsets[u];
+  members.resize(offsets[g.n]);
+  scratch.cursor.assign(offsets.begin(), offsets.end() - 1);
+  for (uint32_t v : order) {
+    if (!candidate(v)) continue;
+    for (uint64_t e = g.offsets[v]; e < g.offsets[v + 1]; ++e) {
+      members[scratch.cursor[g.adj[e]]++] = v;
+    }
+  }
+  // `back` passes only matched entries, so a candidate that did not fit
+  // one front vertex is still offered to the next.
+  for (uint32_t hub : order) {
+    uint64_t back = offsets[hub + 1];
+    for (uint64_t front = offsets[hub]; front < back; ++front) {
+      const uint32_t v = members[front];
+      if (match[v] != kUnmatched) continue;
+      while (back > front + 1 && match[members[back - 1]] != kUnmatched) {
+        --back;
+      }
+      for (uint64_t i = back; --i > front;) {
+        const uint32_t u = members[i];
+        if (match[u] == kUnmatched && caps.Fit(g, v, u)) {
+          match[v] = u;
+          match[u] = v;
+          unmatched -= 2;
+          break;
+        }
+      }
+    }
+  }
+  return unmatched;
+}
+
+/// The 2-hop rounds: each runs while more than `unmatched_share` of the
+/// level is still unmatched (METIS's UNMATCHEDFOR2HOP = 0.1, then 1.5x
+/// and 2x that), taking vertices of degree below `max_degree`.
+struct TwoHopRound {
+  double unmatched_share;
+  uint32_t max_degree;
+};
+constexpr TwoHopRound kTwoHopRounds[] = {{0.10, 2}, {0.15, 3}, {0.20, 64}};
+
+/// Pairs the vertices of one level; returns match[v] (= v for
+/// singletons). One shuffle of the level orders every pass:
+///  1. heavy-edge matching pairs each unmatched vertex with its unmatched
+///     neighbour of maximum edge weight that `caps` allows, and each
+///     isolated vertex with the last isolated one still single;
+///  2. the 2-hop rounds then pair unmatched vertices that share a
+///     neighbour, which is what hubs leave behind.
+std::vector<uint32_t> Match(const WGraph& g, const MatchCaps& caps, Rng& rng,
+                            CoarsenScratch& scratch) {
+  std::vector<uint32_t> match(g.n, kUnmatched);
+  std::vector<uint32_t> order(g.n);
+  std::iota(order.begin(), order.end(), 0u);
+  rng.Shuffle(order);
+  uint64_t unmatched = g.n;
+  auto pair = [&](uint32_t v, uint32_t u) {
+    match[v] = u;
+    match[u] = v;
+    unmatched -= 2;
+  };
+  uint32_t island = kUnmatched;
+  for (uint32_t v : order) {
+    if (match[v] != kUnmatched) continue;
+    if (g.offsets[v] == g.offsets[v + 1]) {
+      if (island != kUnmatched && caps.Fit(g, island, v)) {
+        pair(island, v);
+        island = kUnmatched;
+      } else {
+        island = v;
+      }
+      continue;
+    }
+    uint32_t best = kUnmatched;
+    uint32_t best_w = 0;
+    for (uint64_t e = g.offsets[v]; e < g.offsets[v + 1]; ++e) {
+      const uint32_t u = g.adj[e];
+      if (u == v || match[u] != kUnmatched || g.eweights[e] <= best_w) {
+        continue;
+      }
+      if (caps.Fit(g, v, u)) {
+        best_w = g.eweights[e];
+        best = u;
+      }
+    }
+    if (best != kUnmatched) pair(v, best);
+  }
+  for (const TwoHopRound& round : kTwoHopRounds) {
+    if (static_cast<double>(unmatched) <= round.unmatched_share * g.n) break;
+    unmatched = TwoHopMatch(g, caps, order, round.max_degree, unmatched,
+                            match, scratch);
+  }
+  for (uint32_t v = 0; v < g.n; ++v) {
+    if (match[v] == kUnmatched) match[v] = v;
+  }
+  return match;
+}
 
 /// Contracts matched pairs into a coarser graph; fills `coarse_of` with
 /// each fine vertex's coarse id.
@@ -153,6 +288,7 @@ WGraph Coarsen(const WGraph& g, const std::vector<uint32_t>& match,
   coarse.nc = g.nc;
   coarse.symmetric = g.symmetric;
   coarse.vweights.assign(static_cast<size_t>(next) * g.nc, 0);
+  coarse.members.resize(next);
   if (scratch.slot.size() < next) {
     scratch.slot.resize(next, CoarsenScratch::kNoSlot);
   }
@@ -169,7 +305,6 @@ WGraph Coarsen(const WGraph& g, const std::vector<uint32_t>& match,
   // Coarse ids follow the lower-numbered member of each pair, so visiting
   // those members in order builds the coarse rows in order, each from its
   // one or two fine rows. Parallel edges merge through `slot`.
-  merged.offsets[0] = 0;
   uint64_t end = 0;
   for (uint32_t v = 0; v < g.n; ++v) {
     const uint32_t partner = match[v];
@@ -180,6 +315,8 @@ WGraph Coarsen(const WGraph& g, const std::vector<uint32_t>& match,
       if (partner != v) w += g.vw(partner, c);
       coarse.vweights[static_cast<size_t>(cv) * g.nc + c] = w;
     }
+    coarse.members[cv] =
+        g.members[v] + (partner != v ? g.members[partner] : 0);
     const uint64_t row_begin = end;
     for (uint32_t member : {v, partner}) {
       for (uint64_t e = g.offsets[member]; e < g.offsets[member + 1]; ++e) {
@@ -332,11 +469,16 @@ std::vector<uint32_t> InitialPartition(const WGraph& g, uint32_t parts,
 
 /// Boundary FM-style refinement: greedily move boundary vertices to the
 /// adjacent part with the highest positive cut gain, subject to balance.
+/// A part never gives up its last vertex.
 void Refine(const WGraph& g, std::vector<uint32_t>& part, uint32_t parts,
             double imbalance, int passes, Rng& rng) {
   BalanceState balance;
   balance.Init(g, parts, imbalance);
-  for (uint32_t v = 0; v < g.n; ++v) balance.Add(g, v, part[v]);
+  std::vector<uint32_t> part_size(parts, 0);
+  for (uint32_t v = 0; v < g.n; ++v) {
+    balance.Add(g, v, part[v]);
+    ++part_size[part[v]];
+  }
 
   std::vector<uint32_t> order(g.n);
   std::iota(order.begin(), order.end(), 0u);
@@ -354,7 +496,7 @@ void Refine(const WGraph& g, std::vector<uint32_t>& part, uint32_t parts,
         link[p] += g.eweights[e];
         if (p != home) boundary = true;
       }
-      if (!boundary) continue;
+      if (!boundary || part_size[home] == 1) continue;
       uint32_t best_part = home;
       int64_t best_gain = 0;
       for (uint32_t p = 0; p < parts; ++p) {
@@ -373,6 +515,8 @@ void Refine(const WGraph& g, std::vector<uint32_t>& part, uint32_t parts,
       if (best_part != home) {
         balance.Remove(g, v, home);
         balance.Add(g, v, best_part);
+        --part_size[home];
+        ++part_size[best_part];
         part[v] = best_part;
         ++moves;
       }
@@ -403,17 +547,27 @@ std::vector<uint32_t> MultilevelPartition(
     TRACE_SPAN("partition.coarsen");
     const uint32_t coarsen_target =
         std::max<uint32_t>(num_parts * options.coarsen_target_per_part, 64);
+    const MatchCaps caps(levels.front(), coarsen_target);
     CoarsenScratch scratch;
-    while (levels.back().n > coarsen_target &&
-           static_cast<int>(levels.size()) < options.max_coarsen_levels) {
+    while (levels.back().n > coarsen_target) {
       const WGraph& fine = levels.back();
-      std::vector<uint32_t> match = HeavyEdgeMatch(fine, rng);
+      std::vector<uint32_t> match = Match(fine, caps, rng, scratch);
       std::vector<uint32_t> coarse_of;
       WGraph coarse = Coarsen(fine, match, coarse_of, scratch);
-      if (coarse.n >= fine.n) break;  // matching stalled
+      if (coarse.n == fine.n) break;  // nothing matched
+      // METIS's stop rule: a level that keeps more than 85% of its
+      // vertices is the last.
+      const bool last = coarse.n > 0.85 * fine.n;
       projections.push_back(std::move(coarse_of));
       levels.push_back(std::move(coarse));
+      if (last) break;
     }
+  }
+  if (telemetry::Enabled()) {
+    telemetry::GetGauge(telemetry_names::kPartitionCoarsenLevels)
+        .Set(static_cast<int64_t>(projections.size()));
+    telemetry::GetGauge(telemetry_names::kPartitionCoarsestVertices)
+        .Set(levels.back().n);
   }
 
   // Initial partition on the coarsest level.

@@ -24,10 +24,11 @@ enum class MetisMode {
 };
 
 /// From-scratch multilevel graph partitioner in the style of Metis [19]:
-/// heavy-edge-matching coarsening, greedy region-growing initial
-/// partitioning, and boundary FM refinement — extended with the
-/// multi-constraint vertex weights (train/val/test masks, degrees) that
-/// DistDGL and SALIENT++ bolt onto Metis ("Metis-extend", §5.2).
+/// coarsening by size-capped heavy-edge and 2-hop matching, greedy
+/// region-growing initial partitioning, and boundary FM refinement —
+/// extended with the multi-constraint vertex weights (train/val/test
+/// masks, degrees) that DistDGL and SALIENT++ bolt onto Metis
+/// ("Metis-extend", §5.2).
 class MetisPartitioner : public Partitioner {
  public:
   explicit MetisPartitioner(MetisMode mode) : mode_(mode) {}
@@ -48,8 +49,9 @@ struct MultilevelOptions {
   /// (1 + imbalance) * target.
   double imbalance = 0.10;
   /// Stop coarsening when the graph has ~this many vertices per part.
+  /// Coarsening also stops after a level that keeps more than 85% of its
+  /// vertices.
   uint32_t coarsen_target_per_part = 30;
-  int max_coarsen_levels = 40;
   int refine_passes = 3;
 };
 

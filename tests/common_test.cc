@@ -329,6 +329,19 @@ TEST(FlagsTest, ParsesKeyValueAndBools) {
   EXPECT_EQ(flags.GetInt("missing", -1), -1);
 }
 
+TEST(FlagsTest, PositiveListSkipsInvalidEntries) {
+  const char* argv[] = {"prog", "--threads=-2,4,,abc,0,3x,4294967296,8",
+                        "--parts=4294967295"};
+  Flags flags(3, const_cast<char**>(argv));
+  EXPECT_EQ(flags.GetPositiveList("threads", ""),
+            (std::vector<uint32_t>{4, 8}));
+  EXPECT_EQ(flags.GetPositiveList("parts", ""),
+            (std::vector<uint32_t>{4294967295u}));
+  EXPECT_EQ(flags.GetPositiveList("missing", "2,4"),
+            (std::vector<uint32_t>{2, 4}));
+  EXPECT_TRUE(flags.GetPositiveList("missing", "").empty());
+}
+
 // json::Parse builds what JsonLint only checks: one grammar, two modes.
 TEST(JsonParseTest, BuildsValuesInDocumentOrder) {
   json::Value v;
