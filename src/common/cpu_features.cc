@@ -24,10 +24,4 @@ bool CpuHasNeon() {
 #endif
 }
 
-const char* CpuFeatureString() {
-  if (CpuHasAvx2Fma()) return "avx2+fma";
-  if (CpuHasNeon()) return "neon";
-  return "baseline";
-}
-
 }  // namespace gnndm

@@ -21,10 +21,6 @@ bool CpuHasAvx2Fma();
 /// ASIMD is part of the base architecture; false elsewhere.
 bool CpuHasNeon();
 
-/// Short human-readable summary ("avx2+fma", "neon", "baseline") for
-/// logs and bench metadata. Stable per machine, not per run.
-const char* CpuFeatureString();
-
 }  // namespace gnndm
 
 #endif  // GNNDM_COMMON_CPU_FEATURES_H_

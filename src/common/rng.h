@@ -61,13 +61,6 @@ class Rng {
     return static_cast<uint64_t>(m >> 64);
   }
 
-  /// Uniform integer in [lo, hi] inclusive.
-  int64_t UniformRange(int64_t lo, int64_t hi) {
-    assert(lo <= hi);
-    return lo + static_cast<int64_t>(
-                    UniformInt(static_cast<uint64_t>(hi - lo) + 1));
-  }
-
   /// Uniform double in [0, 1).
   double UniformReal() {
     return static_cast<double>(Next() >> 11) * 0x1.0p-53;

@@ -24,7 +24,7 @@ namespace telemetry {
 ///    and cheap to call from any thread, including pool workers and the
 ///    async-loader producer;
 ///  - a span Tracer that records begin/duration events against either the
-///    wall clock (real CPU work) or the simulated VirtualClock timeline
+///    wall clock (real CPU work) or the simulated pipeline timeline
 ///    (device/pipeline), and serializes them to Chrome trace-event JSON
 ///    loadable in chrome://tracing or https://ui.perfetto.dev;
 ///  - ScopedSpan, the one timer of a pipeline stage: its two clock

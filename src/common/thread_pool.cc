@@ -42,18 +42,6 @@ void ThreadPool::Wait() {
   while (in_flight_ != 0 && !stop_) done_cv_.Wait(mu_);
 }
 
-void ThreadPool::ParallelFor(size_t n,
-                             FunctionRef<void(size_t, size_t)> body) {
-  if (n == 0) return;
-  size_t chunks = std::min(n, threads_.size() * 4);
-  size_t chunk_size = (n + chunks - 1) / chunks;
-  for (size_t begin = 0; begin < n; begin += chunk_size) {
-    size_t end = std::min(n, begin + chunk_size);
-    Submit([body, begin, end] { body(begin, end); });
-  }
-  Wait();
-}
-
 void ThreadPool::WorkerLoop() {
   for (;;) {
     std::function<void()> task;

@@ -8,14 +8,14 @@
 #include <vector>
 
 #include "common/annotations.h"
-#include "common/function_ref.h"
 
 namespace gnndm {
 
-/// Fixed-size worker pool used for parallel sampling and feature extraction.
-/// Work items are plain std::function<void()>; ParallelFor partitions an
-/// index range into contiguous chunks. The pool is intentionally simple —
-/// GNN data preparation is embarrassingly parallel over batch vertices.
+/// Fixed-size worker pool under gnndm::ParallelFor (common/parallel_for.h),
+/// which partitions an index range into chunks and submits them here.
+/// Work items are plain std::function<void()>. The pool is intentionally
+/// simple — GNN data preparation is embarrassingly parallel over batch
+/// vertices.
 ///
 /// Thread-safety: all shared state is guarded by `mu_` and the class is
 /// annotated for Clang Thread Safety Analysis. Submitting after the
@@ -38,13 +38,6 @@ class ThreadPool {
   /// the pool is shutting down, so a Wait() racing the destructor cannot
   /// hang on tasks that will never be drained.
   void Wait() GNNDM_EXCLUDES(mu_);
-
-  /// Runs `body(begin, end)` over contiguous chunks of [0, n) across the
-  /// pool and blocks until done. `body` must be thread-safe. Taken by
-  /// FunctionRef — the call blocks until every chunk ran, so the view
-  /// never dangles, and no per-call std::function is materialized.
-  void ParallelFor(size_t n, FunctionRef<void(size_t, size_t)> body)
-      GNNDM_EXCLUDES(mu_);
 
   size_t num_threads() const { return threads_.size(); }
 

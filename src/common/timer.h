@@ -1,7 +1,6 @@
 #ifndef GNNDM_COMMON_TIMER_H_
 #define GNNDM_COMMON_TIMER_H_
 
-#include <cassert>
 #include <chrono>
 #include <cstdint>
 
@@ -25,33 +24,6 @@ class WallTimer {
  private:
   using Clock = std::chrono::steady_clock;
   Clock::time_point start_;
-};
-
-/// Deterministic virtual clock used by the device/network cost models so
-/// transfer and pipeline experiments are machine-independent. Time is held
-/// in double seconds; models Advance() it by analytically computed costs.
-class VirtualClock {
- public:
-  VirtualClock() = default;
-
-  double now() const { return now_; }
-
-  /// Moves the clock forward by `seconds` (must be >= 0).
-  void Advance(double seconds) {
-    assert(seconds >= 0.0);
-    now_ += seconds;
-  }
-
-  /// Moves the clock to `t` if `t` is in the future; no-op otherwise.
-  /// Used when independent pipeline stages synchronize.
-  void AdvanceTo(double t) {
-    if (t > now_) now_ = t;
-  }
-
-  void Reset() { now_ = 0.0; }
-
- private:
-  double now_ = 0.0;
 };
 
 }  // namespace gnndm

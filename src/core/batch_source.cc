@@ -169,7 +169,7 @@ void AsyncBatchSource::WorkerLoop(uint32_t worker_id) {
                               std::move(batches_[i]));
     }
     {
-      // timer-ok: measures condvar wait, not a pipeline stage.
+      // gnndm-lint: suppress(raw-timer): measures condvar wait, not a pipeline stage
       WallTimer wait_timer;
       // gnndm-lint: suppress(parallel-context): publish lock is the sanctioned reorder-ring handoff; batch production happened outside it
       MutexLock lock(mu_);

@@ -83,11 +83,9 @@ void Gcn::Backward(const SampledSubgraph& sg, const Tensor& d_logits) {
 
 std::vector<Parameter*> Gcn::Parameters() {
   std::vector<Parameter*> params;
-  // serial-ok: structural walk over a handful of layers, not a kernel.
   for (auto& conv : convs_) {
     for (Parameter* p : conv.Parameters()) params.push_back(p);
   }
-  // serial-ok: structural walk over a handful of layers, not a kernel.
   for (auto& layer : mlp_) {
     for (Parameter* p : layer.Parameters()) params.push_back(p);
   }
@@ -140,11 +138,9 @@ void GraphSage::Backward(const SampledSubgraph& sg, const Tensor& d_logits) {
 
 std::vector<Parameter*> GraphSage::Parameters() {
   std::vector<Parameter*> params;
-  // serial-ok: structural walk over a handful of layers, not a kernel.
   for (auto& conv : convs_) {
     for (Parameter* p : conv.Parameters()) params.push_back(p);
   }
-  // serial-ok: structural walk over a handful of layers, not a kernel.
   for (auto& layer : mlp_) {
     for (Parameter* p : layer.Parameters()) params.push_back(p);
   }
@@ -171,7 +167,7 @@ const Tensor& Mlp::Forward(const SampledSubgraph& sg, const Tensor& input,
   const size_t num_seeds = sg.seeds().size();
   GNNDM_CHECK(input.rows() >= num_seeds);
   seed_input_.Resize(num_seeds, input.cols());
-  // serial-ok: at most one batch of rows; memory-bound copy off hot path.
+  // Serial: at most one batch of rows; memory-bound copy off hot path.
   for (size_t i = 0; i < num_seeds; ++i) {
     auto src = input.row(i);
     auto dst = seed_input_.row(i);
@@ -195,7 +191,6 @@ void Mlp::Backward(const SampledSubgraph& /*sg*/, const Tensor& d_logits) {
 
 std::vector<Parameter*> Mlp::Parameters() {
   std::vector<Parameter*> params;
-  // serial-ok: structural walk over a handful of layers, not a kernel.
   for (auto& layer : layers_) {
     for (Parameter* p : layer.Parameters()) params.push_back(p);
   }

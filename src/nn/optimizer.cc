@@ -21,7 +21,7 @@ Sgd::Sgd(std::vector<Parameter*> params, float lr, float momentum,
 
 void Sgd::Step() {
   // Parameter tensors are tiny (hidden_dim^2 floats).
-  // serial-ok: the memory-bound update is too small to be worth scheduling.
+  // Serial: the memory-bound update is too small to be worth scheduling.
   for (size_t i = 0; i < params_.size(); ++i) {
     Parameter* p = params_[i];
     float* w = p->value.data();
@@ -62,7 +62,7 @@ void Adam::Step() {
   const float bc1 = 1.0f - std::pow(beta1_, static_cast<float>(t_));
   const float bc2 = 1.0f - std::pow(beta2_, static_cast<float>(t_));
   // Parameter tensors are tiny (hidden_dim^2 floats).
-  // serial-ok: the memory-bound update is too small to be worth scheduling.
+  // Serial: the memory-bound update is too small to be worth scheduling.
   for (size_t i = 0; i < params_.size(); ++i) {
     Parameter* p = params_[i];
     float* w = p->value.data();

@@ -169,7 +169,7 @@ double SoftmaxCrossEntropy(const Tensor& logits,
   double loss = 0.0;
   const float inv_n = 1.0f / static_cast<float>(n);
   // The scalar loss reduction over rows defines the bitwise result.
-  // serial-ok: splitting the row loop would reorder the double accumulation.
+  // Serial: splitting the row loop would reorder the double accumulation.
   for (size_t i = 0; i < n; ++i) {
     const float* row = logits.data() + i * c;
     float* grow = grad.data() + i * c;
@@ -191,7 +191,7 @@ double SoftmaxCrossEntropy(const Tensor& logits,
 void ArgmaxRowsInto(const Tensor& logits, std::vector<int32_t>& out) {
   out.resize(logits.rows());
   // Evaluation-only helper, off the training hot path.
-  // serial-ok: O(rows * cols) compares, memory-bound; not worth scheduling.
+  // Serial: O(rows * cols) compares, memory-bound; not worth scheduling.
   for (size_t i = 0; i < logits.rows(); ++i) {
     const float* row = logits.data() + i * logits.cols();
     size_t best = 0;

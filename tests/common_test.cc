@@ -17,7 +17,6 @@
 #include "common/status.h"
 #include "common/table.h"
 #include "common/thread_pool.h"
-#include "common/timer.h"
 
 namespace gnndm {
 namespace {
@@ -201,17 +200,6 @@ TEST(RngTest, ShuffleIsPermutation) {
   EXPECT_EQ(shuffled, v);
 }
 
-TEST(VirtualClockTest, AdvanceAccumulates) {
-  VirtualClock clock;
-  clock.Advance(1.5);
-  clock.Advance(0.5);
-  EXPECT_DOUBLE_EQ(clock.now(), 2.0);
-  clock.AdvanceTo(1.0);  // no-op, in the past
-  EXPECT_DOUBLE_EQ(clock.now(), 2.0);
-  clock.AdvanceTo(3.0);
-  EXPECT_DOUBLE_EQ(clock.now(), 3.0);
-}
-
 TEST(TableTest, AsciiContainsHeaderAndRows) {
   Table t("Demo");
   t.SetHeader({"name", "value"});
@@ -245,15 +233,6 @@ TEST(ThreadPoolTest, RunsAllTasks) {
   EXPECT_EQ(count.load(), 100);
 }
 
-TEST(ThreadPoolTest, ParallelForCoversRange) {
-  ThreadPool pool(3);
-  std::vector<std::atomic<int>> hits(1000);
-  pool.ParallelFor(1000, [&](size_t begin, size_t end) {
-    for (size_t i = begin; i < end; ++i) hits[i].fetch_add(1);
-  });
-  for (auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
 TEST(ThreadPoolTest, ConcurrentSubmitStress) {
   // TSan target: external producer threads race Submit against the
   // workers draining the queue; the annotated Mutex/CondVar wrappers must
@@ -275,29 +254,6 @@ TEST(ThreadPoolTest, ConcurrentSubmitStress) {
   for (auto& t : producers) t.join();
   pool.Wait();
   EXPECT_EQ(count.load(), kProducers * kTasksPerProducer);
-}
-
-TEST(ThreadPoolTest, ConcurrentParallelForStress) {
-  // Several external threads drive ParallelFor over the same pool at
-  // once. Wait() observes the global in-flight count, so every caller
-  // returns only after all outstanding chunks (its own included) ran.
-  ThreadPool pool(3);
-  constexpr int kCallers = 4;
-  constexpr size_t kRange = 512;
-  std::vector<std::atomic<int>> hits(kRange);
-  std::vector<std::thread> callers;
-  callers.reserve(kCallers);
-  for (int c = 0; c < kCallers; ++c) {
-    callers.emplace_back([&pool, &hits] {
-      pool.ParallelFor(kRange, [&hits](size_t begin, size_t end) {
-        for (size_t i = begin; i < end; ++i) {
-          hits[i].fetch_add(1, std::memory_order_relaxed);
-        }
-      });
-    });
-  }
-  for (auto& t : callers) t.join();
-  for (auto& h : hits) EXPECT_EQ(h.load(), kCallers);
 }
 
 TEST(ThreadPoolTest, ShutdownDrainsQueuedWork) {

@@ -26,7 +26,7 @@ class Picker {
 uint64_t HotLoop(Picker& p, std::vector<uint32_t>& scratch) {
   uint64_t sum = 0;
   for (uint32_t i = 0; i < 64; ++i) {
-    p.Pick(i, scratch);  // expect: hot-transitive-alloc via the overload set
+    p.Pick(i, scratch);  // expect: hot-path-alloc via the overload set
     for (uint32_t v : scratch) sum += v;
   }
   return sum;

@@ -24,7 +24,7 @@ uint64_t OddSum(uint32_t n) {
 uint64_t HotDriver(uint32_t n) {
   uint64_t total = 0;
   for (uint32_t i = 0; i < n; ++i) {
-    total += EvenSum(i);  // expect: hot-transitive-alloc via the cycle
+    total += EvenSum(i);  // expect: hot-path-alloc via the cycle
   }
   return total;
 }

@@ -31,7 +31,7 @@ class BufferingReducer : public Reducer {
 // gnndm-hot
 void HotReduce(Reducer& r, uint32_t n) {
   for (uint32_t i = 0; i < n; ++i) {
-    r.Step(i);  // expect: hot-transitive-alloc via BufferingReducer::Step
+    r.Step(i);  // expect: hot-path-alloc via BufferingReducer::Step
   }
 }
 

@@ -1,6 +1,6 @@
 // Fixture: backslash-continued macro definitions are preprocessor text.
 // Their braces — even deliberately unbalanced ones across two #defines —
-// must not desync the scope tracker, and allocations in macro bodies are
+// must not desync the call graph, and allocations in macro bodies are
 // not flagged. The hot function after the macros proves the tracker is
 // still aligned: its loop allocation must be reported at the right line.
 #include <cstddef>

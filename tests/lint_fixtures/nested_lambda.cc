@@ -1,6 +1,6 @@
 // Fixture: hot-path-alloc must see through nested lambdas — an
 // allocation inside a lambda defined inside a ParallelFor body is still
-// inside the parallel extent, while the same code outside any parallel
+// reached from the ParallelFor body, while the same code outside any parallel
 // or hot-loop context is fine.
 #include <cstddef>
 #include <vector>

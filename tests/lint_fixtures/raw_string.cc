@@ -1,5 +1,5 @@
 // Fixture: raw string literals full of braces, parens, quotes, and
-// keywords are opaque to the scope tracker. The loop after the literal
+// keywords are opaque to the call graph. The loop after the literal
 // must still be recognized as a hot loop and its allocation flagged.
 #include <cstddef>
 #include <string>

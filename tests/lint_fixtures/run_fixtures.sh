@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
-# Golden-file harness for the gnndm_lint scope scanner: each *.cc in this
-# directory is linted in isolation (`--fixture`) and its output must match
-# the committed *.expected byte for byte. Run by ctest as
+# Golden-file harness for gnndm_lint: each fixture in this directory is
+# linted in isolation (`--fixture`) and its output must match the
+# committed .expected beside it byte for byte. Run by ctest as
 # `lint_fixture_golden`. Regenerate a golden after an intentional change:
 #   gnndm_lint --fixture tests/lint_fixtures/foo.cc > tests/lint_fixtures/foo.expected
 set -euo pipefail
@@ -11,17 +11,21 @@ FIXTURE_DIR="${2:?usage: run_fixtures.sh <path-to-gnndm_lint> <fixture-dir>}"
 
 status=0
 shopt -s nullglob
-# Top-level fixtures exercise the per-file rules; effects/ holds the
-# call-graph / effect-analysis corpus (overload sets, FunctionRef
-# lambdas, function pointers, virtual overrides, recursive cycles).
-fixtures=("${FIXTURE_DIR}"/*.cc "${FIXTURE_DIR}"/effects/*.cc)
+# Top-level fixtures exercise the per-file rules with minimal cases;
+# history/ holds real findings reduced from the parent of the commit that
+# fixed them (each header cites it); effects/ holds the call-graph /
+# effect-analysis corpus (overload sets, FunctionRef lambdas, function
+# pointers, virtual overrides, recursive cycles, ParallelFor bodies);
+# src/<m>/ fixtures are linted as src/<m>/<name>, for module-scoped rules.
+fixtures=("${FIXTURE_DIR}"/*.cc "${FIXTURE_DIR}"/*.h "${FIXTURE_DIR}"/effects/*.cc
+          "${FIXTURE_DIR}"/history/*.cc "${FIXTURE_DIR}"/src/*/*.cc)
 if [[ ${#fixtures[@]} -eq 0 ]]; then
   echo "FAIL: no fixtures found in ${FIXTURE_DIR}" >&2
   exit 1
 fi
 
 for cc in "${fixtures[@]}"; do
-  golden="${cc%.cc}.expected"
+  golden="${cc%.*}.expected"
   if [[ ! -f "${golden}" ]]; then
     echo "FAIL: missing golden ${golden}" >&2
     status=1

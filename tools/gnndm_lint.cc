@@ -1,36 +1,29 @@
 // gnndm_lint: the repo's style/invariant linter (see DESIGN.md §11, §15).
 //
-//   $ gnndm_lint <repo_root> [--graph-json=<path>] [--graph-dot=<path>]
-//                            [--effects-json=<path>] [--effects-dot=<path>]
+//   $ gnndm_lint <repo_root> [--graph-json=<path>] [--effects-json=<path>]
 //                            [--findings-json=<path>] [--bench-json=<path>]
-//                            [--stats] [--fix]
+//                            [--stats]
 //   $ gnndm_lint --fixture <file>...
 //
 //   --graph-json=P    write the module dependency graph (modules, layers,
 //                     edges with multiplicities) as JSON
-//   --graph-dot=P     write the same graph as Graphviz DOT, one cluster
-//                     per layer
 //   --effects-json=P  write the interprocedural effect analysis: per-
 //                     function own/transitive effects, contract roots,
 //                     resolved calls, and call-graph resolution stats
-//   --effects-dot=P   write the effect-carrying slice of the call graph
-//                     as Graphviz DOT (hot fns red, contract roots bold)
 //   --findings-json=P write the findings as a JSON array (rule id, file,
 //                     line, message, call chain) — the CI artifact
-//   --bench-json=P    write BENCH-style self-measurement: wall time and
-//                     per-pass breakdown with the bench run_meta block
+//   --bench-json=P    write BENCH-style self-measurement: wall time from
+//                     before loading and per-pass breakdown with the bench
+//                     run_meta block
 //   --stats           print pass timings and call-graph resolution stats
-//   --fix             apply mechanical fixes in place (missing include
-//                     guards, missing direct includes, unsorted include
-//                     blocks) and re-lint; --fix twice is a no-op
-//                     (enforced by ctest)
 //   --fixture F...    lint the given files in isolation as if they lived
-//                     under src/, print findings to stdout, exit 0 — the
-//                     golden-file harness
+//                     at src/lint_fixture/<name> (or at src/<m>/<name> for
+//                     a file in a src/<m>/ directory), print findings to
+//                     stdout, exit 0 — the golden-file harness
 //
-// The passes live in tools/lint/: lexer, scope scanner, per-file rules,
-// include-graph analysis, and the call-graph + effect passes. This file
-// is only the driver: flag parsing, file loading, orchestration, and the
+// The passes live in tools/lint/: lexer, per-file rules, include-graph
+// analysis, and the call-graph + effect passes. This file is only the
+// driver: flag parsing, file loading, orchestration, and the
 // self-measurement plumbing.
 #include <algorithm>
 #include <chrono>
@@ -74,37 +67,43 @@ struct PassTimer {
   }
 };
 
-void AnalyzeRepo(std::vector<SourceFile>& files, const fs::path& root,
-                 LayerManifest* manifest_out, ModuleGraph* graph_out,
-                 CallGraph* cg_out, PassTimer* timer) {
-  ClearViolations();
-  std::map<std::string, std::vector<Suppression>> sups;
-  for (SourceFile& f : files) {
-    sups[f.rel] = CollectSuppressions(f);
-    RunFileRules(f);
+/// Every .h/.cc under src/, tests/, bench/ and tools/ in path order, or
+/// false when `root` has no src/.
+bool LoadTree(const fs::path& root, std::vector<SourceFile>& files) {
+  for (const char* dir : {"src", "tests", "bench", "tools"}) {
+    const fs::path base = root / dir;
+    if (!fs::exists(base)) {
+      // src/ is the wrong-root guard; the rest are optional so reduced
+      // trees (the seeded-tree test) still lint.
+      if (std::string(dir) == "src") {
+        std::fprintf(stderr, "gnndm_lint: missing directory %s\n",
+                     base.string().c_str());
+        return false;
+      }
+      continue;
+    }
+    for (const auto& entry : fs::recursive_directory_iterator(base)) {
+      if (!entry.is_regular_file()) continue;
+      const auto ext = entry.path().extension();
+      if (ext != ".h" && ext != ".cc") continue;
+      const std::string rel =
+          fs::relative(entry.path(), root).generic_string();
+      // The linter's own sources discuss the suppression grammar and
+      // rule tokens in doc comments, and the fixture corpus is
+      // deliberate violations; neither is repo code to lint.
+      if (rel == "tools/gnndm_lint.cc") continue;
+      if (StartsWith(rel, "tools/lint/")) continue;
+      if (StartsWith(rel, "tests/lint_fixtures/")) continue;
+      files.push_back(LoadFile(entry.path(), root));
+    }
   }
-  if (timer != nullptr) timer->Lap("file-rules");
-
-  LayerManifest manifest = LoadLayerManifest(root);
-  ModuleGraph graph = BuildModuleGraph(files);
-  CheckLayering(files, manifest, graph);
-  CheckTransitiveIncludes(files);
-  CheckMetricNameRegistry(files);
-  if (timer != nullptr) timer->Lap("include-graph");
-
-  CallGraph cg = BuildCallGraph(files);
-  if (timer != nullptr) timer->Lap("callgraph");
-  ComputeEffects(files, cg);
-  if (timer != nullptr) timer->Lap("effects");
-  CheckParallelContext(files, cg);
-  CheckHotTransitiveAlloc(files, cg);
-  if (timer != nullptr) timer->Lap("contracts");
-
-  ApplySuppressions(sups);
-  SortFindings();
-  if (manifest_out != nullptr) *manifest_out = std::move(manifest);
-  if (graph_out != nullptr) *graph_out = std::move(graph);
-  if (cg_out != nullptr) *cg_out = std::move(cg);
+  // Directory iteration order is filesystem-dependent; exports must be
+  // byte-stable across runs and machines.
+  std::sort(files.begin(), files.end(),
+            [](const SourceFile& a, const SourceFile& b) {
+              return a.rel < b.rel;
+            });
+  return true;
 }
 
 void WriteFindingsJson(const std::string& path) {
@@ -205,27 +204,20 @@ void PrintStats(const PassTimer& timer, const CallGraph& g,
 }
 
 int Run(int argc, char** argv) {
-  std::string root_arg, graph_json, graph_dot, effects_json, effects_dot,
-      findings_json, bench_json;
-  bool fix = false, stats = false;
+  std::string root_arg, graph_json, effects_json, findings_json, bench_json;
+  bool stats = false;
   std::vector<std::string> fixtures;
   bool fixture_mode = false;
   for (int i = 1; i < argc; ++i) {
     const std::string a = argv[i];
-    if (a == "--fix") {
-      fix = true;
-    } else if (a == "--stats") {
+    if (a == "--stats") {
       stats = true;
     } else if (a == "--fixture") {
       fixture_mode = true;
     } else if (StartsWith(a, "--graph-json=")) {
       graph_json = a.substr(13);
-    } else if (StartsWith(a, "--graph-dot=")) {
-      graph_dot = a.substr(12);
     } else if (StartsWith(a, "--effects-json=")) {
       effects_json = a.substr(15);
-    } else if (StartsWith(a, "--effects-dot=")) {
-      effects_dot = a.substr(14);
     } else if (StartsWith(a, "--findings-json=")) {
       findings_json = a.substr(16);
     } else if (StartsWith(a, "--bench-json=")) {
@@ -245,22 +237,26 @@ int Run(int argc, char** argv) {
     // Golden-file harness: lint each file in isolation under a synthetic
     // src/ path (so src/-scoped rules and the effect contracts apply),
     // print deterministic findings to stdout, always exit 0 — the
-    // goldens diff the output.
+    // goldens diff the output. A fixture in a src/<m>/ directory takes
+    // that path, for the rules scoped to one module.
     for (const std::string& path : fixtures) {
       ClearViolations();
       const fs::path p = path;
+      const fs::path dir = p.parent_path();
+      const std::string rel =
+          dir.parent_path().filename() == "src"
+              ? "src/" + dir.filename().generic_string() + "/" +
+                    p.filename().generic_string()
+              : "src/lint_fixture/" + p.filename().generic_string();
       std::vector<SourceFile> files;
-      files.push_back(LoadFile(p, p.parent_path(),
-                               "src/lint_fixture/" +
-                                   p.filename().generic_string()));
-      SourceFile& f = files.back();
+      files.push_back(LoadFile(p, dir, rel));
       std::map<std::string, std::vector<Suppression>> sups;
-      sups[f.rel] = CollectSuppressions(f);
-      RunFileRules(f);
+      sups[rel] = CollectSuppressions(files[0]);
+      RunFileRules(files[0]);
       CallGraph cg = BuildCallGraph(files);
       ComputeEffects(files, cg);
       CheckParallelContext(files, cg);
-      CheckHotTransitiveAlloc(files, cg);
+      CheckHotPathAlloc(files, cg);
       ApplySuppressions(sups);
       SortFindings();
       PrintFindings(stdout);
@@ -271,73 +267,44 @@ int Run(int argc, char** argv) {
   if (root_arg.empty()) {
     std::fprintf(stderr,
                  "usage: gnndm_lint <repo_root> [--graph-json=P] "
-                 "[--graph-dot=P] [--effects-json=P] [--effects-dot=P] "
-                 "[--findings-json=P] [--bench-json=P] [--stats] [--fix]\n"
+                 "[--effects-json=P] [--findings-json=P] [--bench-json=P] "
+                 "[--stats]\n"
                  "       gnndm_lint --fixture <file>...\n");
     return 2;
   }
   const fs::path root = root_arg;
 
-  auto load_all = [&](std::vector<SourceFile>& files) -> bool {
-    files.clear();
-    for (const char* dir : {"src", "tests", "bench", "tools"}) {
-      const fs::path base = root / dir;
-      if (!fs::exists(base)) {
-        // src/ is the wrong-root guard; the rest are optional so reduced
-        // trees (fix-idempotency test fixtures) still lint.
-        if (std::string(dir) == "src") {
-          std::fprintf(stderr, "gnndm_lint: missing directory %s\n",
-                       base.string().c_str());
-          return false;
-        }
-        continue;
-      }
-      for (const auto& entry : fs::recursive_directory_iterator(base)) {
-        if (!entry.is_regular_file()) continue;
-        const auto ext = entry.path().extension();
-        if (ext != ".h" && ext != ".cc") continue;
-        const std::string rel =
-            fs::relative(entry.path(), root).generic_string();
-        // The linter's own sources discuss the suppression grammar and
-        // rule tokens in doc comments, and the fixture corpus is
-        // deliberate violations; neither is repo code to lint.
-        if (rel == "tools/gnndm_lint.cc") continue;
-        if (StartsWith(rel, "tools/lint/")) continue;
-        if (StartsWith(rel, "tests/lint_fixtures/")) continue;
-        files.push_back(LoadFile(entry.path(), root));
-      }
-    }
-    // Directory iteration order is filesystem-dependent; exports must be
-    // byte-stable across runs and machines.
-    std::sort(files.begin(), files.end(),
-              [](const SourceFile& a, const SourceFile& b) {
-                return a.rel < b.rel;
-              });
-    return true;
-  };
-
-  std::vector<SourceFile> files;
-  if (!load_all(files)) return 2;
-  LayerManifest manifest;
-  ModuleGraph graph;
-  CallGraph cg;
   PassTimer timer;
-  AnalyzeRepo(files, root, &manifest, &graph, &cg, &timer);
+  std::vector<SourceFile> files;
+  if (!LoadTree(root, files)) return 2;
+  timer.Lap("load");
 
-  if (fix) {
-    const size_t fixed = ApplyFixes(files, root);
-    std::printf("gnndm_lint: --fix rewrote %zu file(s)\n", fixed);
-    if (fixed > 0) {
-      if (!load_all(files)) return 2;
-      timer = PassTimer();
-      AnalyzeRepo(files, root, &manifest, &graph, &cg, &timer);
-    }
+  std::map<std::string, std::vector<Suppression>> sups;
+  for (const SourceFile& f : files) {
+    sups[f.rel] = CollectSuppressions(f);
+    RunFileRules(f);
   }
+  timer.Lap("file-rules");
+
+  const LayerManifest manifest = LoadLayerManifest(root);
+  const ModuleGraph graph = BuildModuleGraph(files);
+  CheckLayering(files, manifest, graph);
+  CheckMetricNameRegistry(files);
+  timer.Lap("include-graph");
+
+  CallGraph cg = BuildCallGraph(files);
+  timer.Lap("callgraph");
+  ComputeEffects(files, cg);
+  timer.Lap("effects");
+  CheckParallelContext(files, cg);
+  CheckHotPathAlloc(files, cg);
+  timer.Lap("contracts");
+
+  ApplySuppressions(sups);
+  SortFindings();
 
   if (!graph_json.empty()) WriteGraphJson(graph_json, manifest, graph);
-  if (!graph_dot.empty()) WriteGraphDot(graph_dot, manifest, graph);
   if (!effects_json.empty()) WriteEffectsJson(effects_json, files, cg);
-  if (!effects_dot.empty()) WriteEffectsDot(effects_dot, files, cg);
   if (!findings_json.empty()) WriteFindingsJson(findings_json);
   if (!bench_json.empty()) {
     const gnndm::Flags flags(argc, argv);

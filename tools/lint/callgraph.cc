@@ -87,12 +87,10 @@ bool IsKnownExternal(const std::string& s) {
       "swap",     "move",     "forward",  "get",     "make_pair",
       "make_tuple", "tie",    "to_string","stoi",    "stol",    "stoul",
       "stod",     "stof",     "rand",     "srand",   "time",    "clock",
-      "main",     "now",
+      "now",
       // POSIX (signal-safe paths in the flight recorder).
       "open",     "close",    "read",     "write",   "fsync",   "raise",
-      "sigaction","sigemptyset", "getline",
-      // gtest fixture/base API used unqualified inside tests.
-      "GetParam", "TempDir",  "SetUp",    "TearDown"};
+      "sigaction","sigemptyset", "getline"};
   return kSet.count(s) > 0;
 }
 
@@ -334,8 +332,7 @@ struct Builder {
 std::string EffectNames(uint8_t mask) {
   static const std::pair<uint8_t, const char*> kNames[] = {
       {kEffAllocates, "allocates"}, {kEffLocks, "locks"},
-      {kEffBlocks, "blocks"},       {kEffIo, "io"},
-      {kEffRawRng, "raw-rng"}};
+      {kEffBlocks, "blocks"},       {kEffIo, "io"}};
   std::string out;
   for (const auto& [bit, nm] : kNames) {
     if ((mask & bit) == 0) continue;
@@ -363,8 +360,9 @@ bool IsInfraFile(const std::string& rel) {
 namespace {
 
 struct Frame {
-  char kind;         // as in ScanScopes
-  long paren = 0;
+  char kind;  // 'n'amespace 't'ype 'f'unction 'l'ambda l'o'op 'c'ontrol
+              // 'b'lock/init-list 'v'irtual braceless loop
+  long paren = 0;  // paren depth at push ('v' frames pop on ';' here)
   size_t fn = kNoFn;      // for 'f'/'l'
   std::string name;       // for 'n'/'t'
 };
@@ -380,7 +378,6 @@ void ExtractFile(Builder& b, size_t file_idx) {
       hot_lines.insert(t.line);
     }
   }
-  const bool in_src = f.InDir("src/");
   bool file_has_thread = false;
   for (size_t i = 0; i + 2 < toks.size(); ++i) {
     if (IsStdQualified(toks, i, "thread")) file_has_thread = true;
@@ -444,7 +441,7 @@ void ExtractFile(Builder& b, size_t file_idx) {
   for (size_t i = 0; i < toks.size(); ++i) {
     const Token* t = toks[i];
     depth_arr[i] = loop_count();
-    if (i < f.tok_flags.size() && (f.tok_flags[i] & kPp) != 0) {
+    if (f.in_pp[i]) {
       // Collect #define names; directives don't drive scope structure.
       if (t->kind == TokKind::kIdent && t->text == "define" && i > 0 &&
           IsPunct(toks[i - 1], "#") && i + 1 < toks.size() &&
@@ -623,10 +620,10 @@ void ExtractFile(Builder& b, size_t file_idx) {
         for (size_t k = paren_calls.size(); k-- > 0;) {
           const std::string& c = paren_calls[k];
           if (c.empty()) continue;
-          if (in_src && !IsBoundaryFile(f.rel) &&
+          if (!IsBoundaryFile(f.rel) &&
               (c == "ParallelFor" || c == "ParallelFor2D")) {
             fn.parallel_root = true;
-          } else if (in_src && !IsBoundaryFile(f.rel) && file_has_thread &&
+          } else if (!IsBoundaryFile(f.rel) && file_has_thread &&
                      (c == "emplace_back" || c == "push_back" ||
                       c == "thread")) {
             fn.producer_root = true;
@@ -721,18 +718,6 @@ void ExtractFile(Builder& b, size_t file_idx) {
                         : "<anon@" + std::to_string(t->line) + ">";
         }
         fn.cls = enclosing_class();
-        // `TEST_F(Fixture, Name)`-style test macros define a member of
-        // the fixture class: bind the body to that class so unqualified
-        // fixture-method calls (SmallConfig(), TempDir()) resolve.
-        if (fn.cls.empty() && IsMacroLike(fn.name) &&
-            param_lo + 2 < param_hi &&
-            toks[param_lo]->kind == TokKind::kIdent &&
-            IsPunct(toks[param_lo + 1], ",") &&
-            toks[param_lo + 2]->kind == TokKind::kIdent) {
-          fn.cls = toks[param_lo]->text;
-          fn.name = toks[param_lo + 2]->text;
-          quals.push_back(fn.cls);
-        }
         std::string q = scope_qual();
         for (const std::string& qq : quals) {
           if (!q.empty()) q += "::";
@@ -938,7 +923,7 @@ std::vector<size_t> HierarchyMethods(Builder& b, const std::string& cls,
 
 bool IsExternalNamespace(const std::string& ns) {
   return ns == "std" || ns == "chrono" || ns == "this_thread" ||
-         ns == "filesystem" || ns == "fs" || ns == "testing";
+         ns == "filesystem" || ns == "fs";
 }
 
 void ResolveMember(Builder& b, size_t fi, const std::string& name,
@@ -1080,11 +1065,11 @@ void ResolveUnqualified(Builder& b, size_t fi, const std::string& name,
   cs.kind = CallKind::kUnresolved;
 }
 
-void PushSite(Builder& b, CallSite cs, bool counted, bool in_src) {
+void PushSite(Builder& b, CallSite cs, bool counted) {
   std::sort(cs.callees.begin(), cs.callees.end());
   cs.callees.erase(std::unique(cs.callees.begin(), cs.callees.end()),
                    cs.callees.end());
-  if (counted && in_src) {
+  if (counted) {
     ++b.g.stats.src_call_sites;
     switch (cs.kind) {
       case CallKind::kRepo: ++b.g.stats.resolved_repo; break;
@@ -1104,7 +1089,6 @@ void ScanRange(Builder& b, size_t fi, size_t lo, size_t hi, bool init_list,
   const FunctionInfo& fn = b.g.fns[fi];
   const SourceFile& sf = (*b.files)[fn.file];
   const std::vector<const Token*>& toks = b.toks[fn.file];
-  const bool in_src = sf.InDir("src/");
 
   for (size_t i = lo; i < hi && i < toks.size(); ++i) {
     if (skip != nullptr) {
@@ -1119,7 +1103,7 @@ void ScanRange(Builder& b, size_t fi, size_t lo, size_t hi, bool init_list,
       }
       if (inside) continue;
     }
-    if (i < sf.tok_flags.size() && (sf.tok_flags[i] & kPp) != 0) continue;
+    if (sf.in_pp[i]) continue;
     const Token* t = toks[i];
     if (t->kind != TokKind::kIdent || IsKeyword(t->text)) continue;
     const Token* prev = i > 0 ? toks[i - 1] : nullptr;
@@ -1148,7 +1132,7 @@ void ScanRange(Builder& b, size_t fi, size_t lo, size_t hi, bool init_list,
           cs.callees = it->second;
         }
       }
-      if (!cs.callees.empty()) PushSite(b, std::move(cs), false, in_src);
+      if (!cs.callees.empty()) PushSite(b, std::move(cs), false);
       continue;
     }
 
@@ -1156,10 +1140,8 @@ void ScanRange(Builder& b, size_t fi, size_t lo, size_t hi, bool init_list,
     cs.caller = fi;
     cs.line = t->line;
     cs.name = t->text;
-    const uint8_t fl = i < sf.tok_flags.size() ? sf.tok_flags[i] : 0;
     const std::vector<uint32_t>& depth = b.g.loop_depth[fn.file];
     cs.in_loop = i < depth.size() && depth[i] > fn.body_depth;
-    cs.in_parallel = (fl & kInParallel) != 0;
     cs.static_decl = StaticDeclBack(toks, i);
 
     if (init_list) {
@@ -1172,7 +1154,7 @@ void ScanRange(Builder& b, size_t fi, size_t lo, size_t hi, bool init_list,
       } else {
         cs.kind = CallKind::kExternal;
       }
-      PushSite(b, std::move(cs), true, in_src);
+      PushSite(b, std::move(cs), true);
       continue;
     }
     if (prev != nullptr && (IsPunct(prev, ".") || IsPunct(prev, "->"))) {
@@ -1197,7 +1179,7 @@ void ScanRange(Builder& b, size_t fi, size_t lo, size_t hi, bool init_list,
         }
       }
       ResolveMember(b, fi, t->text, receiver, receiver_ty, cs);
-      PushSite(b, std::move(cs), true, in_src);
+      PushSite(b, std::move(cs), true);
       continue;
     }
     if (prev != nullptr && prev->kind == TokKind::kIdent &&
@@ -1205,7 +1187,7 @@ void ScanRange(Builder& b, size_t fi, size_t lo, size_t hi, bool init_list,
       // `Type name(args)` declaration: a constructor call of Type.
       cs.name = prev->text;
       ResolveCtor(b, prev->text, QualChainBack(toks, i - 1), cs);
-      PushSite(b, std::move(cs), true, in_src);
+      PushSite(b, std::move(cs), true);
       continue;
     }
     if (prev != nullptr && (IsPunct(prev, ">") || IsPunct(prev, ">>"))) {
@@ -1215,7 +1197,7 @@ void ScanRange(Builder& b, size_t fi, size_t lo, size_t hi, bool init_list,
       if (lt != kNpos && lt > 0 && toks[lt - 1]->kind == TokKind::kIdent) {
         cs.name = toks[lt - 1]->text;
         ResolveCtor(b, toks[lt - 1]->text, QualChainBack(toks, lt - 1), cs);
-        PushSite(b, std::move(cs), true, in_src);
+        PushSite(b, std::move(cs), true);
         continue;
       }
     }
@@ -1226,7 +1208,7 @@ void ScanRange(Builder& b, size_t fi, size_t lo, size_t hi, bool init_list,
       if (ti != kNpos) {
         cs.name = toks[ti]->text;
         ResolveCtor(b, toks[ti]->text, QualChainBack(toks, ti), cs);
-        PushSite(b, std::move(cs), true, in_src);
+        PushSite(b, std::move(cs), true);
         continue;
       }
     }
@@ -1236,7 +1218,7 @@ void ScanRange(Builder& b, size_t fi, size_t lo, size_t hi, bool init_list,
     } else {
       ResolveUnqualified(b, fi, t->text, cs);
     }
-    PushSite(b, std::move(cs), true, in_src);
+    PushSite(b, std::move(cs), true);
   }
 }
 
@@ -1249,7 +1231,7 @@ void ScanFn(Builder& b, size_t fi,
 
   // Locals first: declarations precede uses within a body.
   for (size_t i = bb + 1; i + 1 < be && i < toks.size(); ++i) {
-    if (i < sf.tok_flags.size() && (sf.tok_flags[i] & kPp) != 0) continue;
+    if (sf.in_pp[i]) continue;
     bool inside = false;
     for (const auto& [s, e] : skip) {
       if (i >= s && i < e) {
@@ -1276,10 +1258,14 @@ void ScanFn(Builder& b, size_t fi,
 CallGraph BuildCallGraph(const std::vector<SourceFile>& files) {
   Builder b;
   b.files = &files;
-  b.toks.reserve(files.size());
-  for (const SourceFile& f : files) b.toks.push_back(CodeTokens(f));
+  // src/ is all the contracts read: tests, benches and tools stay out.
+  b.toks.resize(files.size());
   b.g.loop_depth.resize(files.size());
-  for (size_t i = 0; i < files.size(); ++i) ExtractFile(b, i);
+  for (size_t i = 0; i < files.size(); ++i) {
+    if (!files[i].InDir("src/")) continue;
+    b.toks[i] = CodeTokens(files[i]);
+    ExtractFile(b, i);
+  }
 
   // Out-of-class definitions: the last declaration qualifier is the
   // class when it names one (`void AsyncBatchSource::WorkerLoop`);
@@ -1342,13 +1328,10 @@ CallGraph BuildCallGraph(const std::vector<SourceFile>& files) {
     const std::vector<uint32_t>& depth = b.g.loop_depth[fn.file];
     cs.in_loop = fn.body_begin < depth.size() &&
                  depth[fn.body_begin] > b.g.fns[fn.parent].body_depth;
-    const SourceFile& sf = (*b.files)[fn.file];
-    cs.in_parallel = fn.body_begin < sf.tok_flags.size() &&
-                     (sf.tok_flags[fn.body_begin] & kInParallel) != 0;
     // `static const auto x = []{...}();` runs once — the contract walks
     // exempt static-decl sites, and that covers the lambda edge too.
     cs.static_decl = StaticDeclBack(b.toks[fn.file], fn.body_begin);
-    PushSite(b, std::move(cs), false, false);
+    PushSite(b, std::move(cs), false);
   }
 
   return std::move(b.g);

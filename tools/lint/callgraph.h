@@ -1,7 +1,8 @@
-// Repo-wide call graph built from the token stream: function/lambda
-// definitions with body extents, class hierarchy for virtual dispatch,
-// and per-call-site resolution by qualified name with class/namespace
-// scope tracking. Conservative-edge policy:
+// Call graph over the src/ files, built from the token stream — the
+// linter's only model of code structure: function/lambda definitions
+// with body extents, loop depth per token, class hierarchy for virtual
+// dispatch, and per-call-site resolution by qualified name with
+// class/namespace scope tracking. Conservative-edge policy:
 //   - every lambda gets an implicit edge from its lexically enclosing
 //     function (the encloser either runs it or hands it to a runner it
 //     chose, so it owns the lambda's effects) — this is call-site
@@ -19,7 +20,8 @@
 // Lambdas handed to ParallelFor/ParallelFor2D are marked parallel
 // roots; lambdas handed to a worker std::thread (emplace_back/push_back/
 // thread in a file that owns threads) are producer roots — the effect
-// pass walks contracts from those roots.
+// pass walks contracts from those roots and from `// gnndm-hot`
+// functions.
 #ifndef GNNDM_TOOLS_LINT_CALLGRAPH_H_
 #define GNNDM_TOOLS_LINT_CALLGRAPH_H_
 
@@ -34,11 +36,10 @@ namespace gnndm_lint {
 
 /// Per-function effect bits, inferred bottom-up over the call graph.
 enum Effect : uint8_t {
-  kEffAllocates = 1,  // PR 6 hot-path-alloc patterns
+  kEffAllocates = 1,  // the hot-path-alloc patterns
   kEffLocks = 2,      // acquires a mutex (.lock()/.try_lock())
   kEffBlocks = 4,     // waits: CondVar wait family, sleep, join
   kEffIo = 8,         // file/stream IO
-  kEffRawRng = 16,    // rand()/time()/clock()/random_device
 };
 
 /// "allocates+locks" — stable display order, "-" for the empty mask.
@@ -58,8 +59,7 @@ struct CallSite {
   std::string name;   // simple callee name as written
   std::vector<size_t> callees;  // fn indices (kRepo / kFnRef)
   CallKind kind = CallKind::kExternal;
-  bool in_loop = false;      // call token carries kInLoop
-  bool in_parallel = false;  // call token carries kInParallel
+  bool in_loop = false;      // inside a loop of the calling function
   bool static_decl = false;  // initializer of a static/thread_local local
   bool is_member = false;
 };
@@ -70,7 +70,6 @@ struct EffectOrigin {
   size_t line = 0;
   std::string what;      // the offending token / pattern
   bool in_loop = false;  // inside a loop within the owning function
-  bool in_parallel = false;
 };
 
 constexpr size_t kNoFn = static_cast<size_t>(-1);
@@ -99,7 +98,7 @@ struct FunctionInfo {
 struct CallGraphStats {
   size_t functions = 0;
   size_t lambdas = 0;
-  size_t src_call_sites = 0;  // non-operator named call sites in src/
+  size_t src_call_sites = 0;  // non-operator named call sites
   size_t resolved_repo = 0;
   size_t external = 0;
   size_t callable_param = 0;
@@ -110,11 +109,11 @@ struct CallGraph {
   std::vector<FunctionInfo> fns;
   std::vector<CallSite> sites;
   std::map<std::string, std::vector<size_t>> by_name;  // simple name -> fns
-  // Per file, per CodeTokens index: loop nesting depth at that token.
-  // `in_loop` relative to a function F is depth > F.body_depth — the
-  // scope scanner's absolute kInLoop bit would leak an enclosing loop
-  // into a lambda defined inside it (`for (...) spawn([]{ entry(); })`
-  // does NOT run `entry()` per iteration of anything inside the lambda).
+  // Per file, per CodeTokens index: loop nesting depth at that token
+  // (empty outside src/). `in_loop` relative to a function F is
+  // depth > F.body_depth, so an enclosing loop does not leak into a
+  // lambda defined inside it (`for (...) spawn([]{ entry(); })` does NOT
+  // run `entry()` per iteration of anything inside the lambda).
   std::vector<std::vector<uint32_t>> loop_depth;
   CallGraphStats stats;
 };

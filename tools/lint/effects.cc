@@ -32,35 +32,100 @@ bool IsCallTo(const std::vector<const Token*>& toks, size_t i,
          (i == 0 || !IsPunct(toks[i - 1], "->"));
 }
 
+/// True if a declaration whose type starts at toks[i] is static or
+/// thread_local (scan back a few tokens, stopping at statement
+/// boundaries) — such a local allocates once, not per iteration.
+bool IsStaticDecl(const std::vector<const Token*>& toks, size_t i) {
+  for (size_t back = 0; back < 4 && i - back > 0; ++back) {
+    const Token* t = toks[i - back - 1];
+    if (IsPunct(t, ";") || IsPunct(t, "{") || IsPunct(t, "}") ||
+        IsPunct(t, "(")) {
+      return false;
+    }
+    if (IsIdent(t, "static") || IsIdent(t, "thread_local")) return true;
+  }
+  return false;
+}
+
+/// The hot-path-alloc diagnostic when toks[i] (an identifier) starts a
+/// heap allocation — `new`, make_unique/make_shared, std::function
+/// materialization, owning-container construction, insertion into an
+/// unordered container named in `unordered` — and "" otherwise.
+std::string AllocationAt(const std::vector<const Token*>& toks, size_t i,
+                         const std::set<std::string>& unordered) {
+  static const std::set<std::string> kOwningContainers = {
+      "vector", "string", "deque", "map", "set",
+      "unordered_map", "unordered_set", "multimap", "multiset",
+  };
+  const std::string& s = toks[i]->text;
+  const bool member =
+      i > 0 && (IsPunct(toks[i - 1], ".") || IsPunct(toks[i - 1], "->"));
+  if (s == "new" && !member) {
+    return "'new' on a hot path allocates per iteration; hoist the buffer "
+           "into caller-owned scratch (see SamplerScratch)";
+  }
+  if (!member && (s == "make_unique" || s == "make_shared")) {
+    return "std::" + s +
+           " on a hot path allocates per iteration; construct the object "
+           "once outside and reuse it";
+  }
+  const bool std_qualified =
+      i >= 2 && IsPunct(toks[i - 1], "::") && IsIdent(toks[i - 2], "std");
+  if (std_qualified && s == "function") {
+    return "std::function on a hot path type-erases (and usually "
+           "heap-allocates) per materialization; take a gnndm::FunctionRef "
+           "(common/function_ref.h) instead";
+  }
+  if (std_qualified && kOwningContainers.count(s) > 0) {
+    // `using X = std::vector<...>` defines a type, allocates nothing.
+    if (i >= 5 && IsPunct(toks[i - 3], "=") &&
+        IsIdent(toks[i - 5], "using")) {
+      return "";
+    }
+    size_t j = i + 1;
+    if (j < toks.size() && IsPunct(toks[j], "<")) {
+      j = SkipTemplateArgs(toks, j);
+    }
+    // A reference/pointer to an existing container, or nested type
+    // access (std::vector<T>::iterator), does not allocate.
+    if (j < toks.size() &&
+        (IsPunct(toks[j], "&") || IsPunct(toks[j], "*") ||
+         IsPunct(toks[j], "::") || IsIdent(toks[j], "const"))) {
+      return "";
+    }
+    if (IsStaticDecl(toks, i - 2)) return "";
+    return "constructing a std::" + s +
+           " on a hot path allocates per iteration; hoist it above the "
+           "loop / ParallelFor and reuse its capacity";
+  }
+  if (member && (s == "insert" || s == "emplace" || s == "try_emplace") &&
+      i >= 2 && toks[i - 2]->kind == TokKind::kIdent &&
+      unordered.count(toks[i - 2]->text) > 0) {
+    return "insertion into unordered container '" + toks[i - 2]->text +
+           "' on a hot path allocates a node (and may rehash) per key; "
+           "pre-size a flat structure or renumber with VertexRenumberer "
+           "scratch";
+  }
+  return "";
+}
+
 // Intrinsic effect patterns over one body segment (children excluded by
-// the caller). AllocationSites supplies `allocates`; the rest are the
-// leaf operations the wrapped primitives bottom out in.
+// the caller): the allocation patterns, then the leaf operations the
+// wrapped lock/wait/IO primitives bottom out in.
 void ScanSegment(const SourceFile& sf, const std::vector<const Token*>& toks,
                  const std::set<std::string>& unordered, size_t lo, size_t hi,
                  const std::vector<uint32_t>& loop_depth, FunctionInfo& fn) {
-  // Loop containment relative to the owning function (the absolute
-  // kInLoop bit would leak an enclosing loop into a nested lambda).
-  auto rel_in_loop = [&](size_t idx) {
-    return idx < loop_depth.size() && loop_depth[idx] > fn.body_depth;
-  };
-  for (const AllocSite& a :
-       AllocationSites(toks, lo, hi, unordered, sf.tok_flags)) {
-    const uint8_t fl =
-        a.tok_index < sf.tok_flags.size() ? sf.tok_flags[a.tok_index] : 0;
-    fn.origins.push_back({kEffAllocates, a.line, a.message,
-                          rel_in_loop(a.tok_index),
-                          (fl & kInParallel) != 0});
-  }
   for (size_t i = lo; i < hi && i < toks.size(); ++i) {
-    const uint8_t fl = i < sf.tok_flags.size() ? sf.tok_flags[i] : 0;
-    if ((fl & kPp) != 0) continue;
+    if (sf.in_pp[i]) continue;
     const Token* t = toks[i];
     if (t->kind != TokKind::kIdent) continue;
 
     uint8_t effect = 0;
-    std::string what;
-    if (IsMemberCallTo(toks, i, "lock") ||
-        IsMemberCallTo(toks, i, "try_lock")) {
+    std::string what = AllocationAt(toks, i, unordered);
+    if (!what.empty()) {
+      effect = kEffAllocates;
+    } else if (IsMemberCallTo(toks, i, "lock") ||
+               IsMemberCallTo(toks, i, "try_lock")) {
       effect = kEffLocks;
       what = "." + t->text + "()";
     } else if (IsMemberCallTo(toks, i, "wait") ||
@@ -88,18 +153,13 @@ void ScanSegment(const SourceFile& sf, const std::vector<const Token*>& toks,
                i > 0 && IsPunct(toks[i - 1], "::")) {
       effect = kEffIo;
       what = "std::" + t->text;
-    } else if (IsCallTo(toks, i, "rand") || IsCallTo(toks, i, "srand") ||
-               IsCallTo(toks, i, "rand_r") ||
-               IsCallTo(toks, i, "drand48")) {
-      effect = kEffRawRng;
-      what = t->text + "()";
-    } else if (IsIdent(t, "random_device")) {
-      effect = kEffRawRng;
-      what = "random_device";
     }
     if (effect == 0) continue;
-    fn.origins.push_back(
-        {effect, t->line, what, rel_in_loop(i), (fl & kInParallel) != 0});
+    // Loop containment relative to the owning function: a loop around a
+    // lambda's definition does not run the lambda's body per iteration.
+    const bool in_loop =
+        i < loop_depth.size() && loop_depth[i] > fn.body_depth;
+    fn.origins.push_back({effect, t->line, what, in_loop});
   }
 }
 
@@ -107,129 +167,95 @@ std::string Hop(const FunctionInfo& fn, const std::string& rel, size_t line) {
   return fn.qual + " (" + rel + ":" + std::to_string(line) + ")";
 }
 
+/// One contract walk: from each root, every origin of `effects` that runs
+/// per iteration (inside a loop of the visited function, or anywhere below
+/// a looped call) is a finding; `src/common/` callees are not entered, and
+/// their transitive effects are reported at the call into them.
 struct Walker {
   const std::vector<SourceFile>& files;
   const CallGraph& g;
   const char* rule;
-  std::string ctx;  // "ParallelFor body" / "producer-thread loop" / ...
+  uint8_t effects;
+  std::string ctx;  // parallel-context: "ParallelFor body" / ...
   std::set<std::pair<std::string, size_t>> reported;
   std::map<size_t, uint8_t> visited;  // fn -> state bits (1<<looped)
-
-  bool Descendable(size_t fn) const {
-    const std::string& rel = files[g.fns[fn].file].rel;
-    return StartsWith(rel, "src/") && !IsInfraFile(rel) &&
-           !IsBoundaryFile(rel);
-  }
 
   void Emit(const std::string& rel, size_t line, const std::string& msg,
             const std::vector<std::string>& chain) {
     if (!reported.insert({rel, line}).second) return;
     ReportChain(rel, line, rule, msg, chain);
   }
+
+  void Walk(size_t fi, bool looped, std::vector<std::string>& chain) {
+    const uint8_t bit = looped ? 2 : 1;
+    uint8_t& state = visited[fi];
+    if ((state & bit) != 0) return;
+    state |= bit;
+    const FunctionInfo& fn = g.fns[fi];
+    const std::string& rel = files[fn.file].rel;
+
+    for (const EffectOrigin& o : fn.origins) {
+      if ((o.effect & effects) == 0 || (!looped && !o.in_loop)) continue;
+      if (effects == kEffAllocates) {
+        Emit(rel, o.line, o.what, chain);
+      } else {
+        Emit(rel, o.line,
+             "`" + o.what + "` [" + EffectNames(o.effect) +
+                 "] executes inside a " + ctx +
+                 "; move it out of the parallel region or add a justified "
+                 "suppression",
+             chain);
+      }
+    }
+    for (size_t si : fn.sites) {
+      const CallSite& s = g.sites[si];
+      if (s.static_decl) continue;  // runs once, first call only
+      const bool l2 = looped || s.in_loop;
+      for (size_t c : s.callees) {
+        const FunctionInfo& callee = g.fns[c];
+        const std::string& crel = files[callee.file].rel;
+        if (IsBoundaryFile(crel)) continue;
+        if (!IsInfraFile(crel)) {
+          chain.push_back(Hop(callee, rel, s.line));
+          Walk(c, l2, chain);
+          chain.pop_back();
+          continue;
+        }
+        const uint8_t bad = callee.effects & effects;
+        if (bad == 0 || !l2) continue;
+        if (effects == kEffAllocates) {
+          Emit(rel, s.line,
+               "`" + s.name + "` -> " + callee.qual +
+                   " allocates on every iteration of a hot loop; hoist the "
+                   "allocation into caller-owned scratch",
+               chain);
+        } else {
+          Emit(rel, s.line,
+               "`" + s.name + "` -> " + callee.qual + " [" +
+                   EffectNames(bad) + "] is reachable from a " + ctx +
+                   "; hoist the call out of the loop, pre-resolve the "
+                   "handle at setup, or add a justified suppression",
+               chain);
+        }
+      }
+    }
+  }
+
+  void WalkFrom(size_t root, bool looped) {
+    const FunctionInfo& fn = g.fns[root];
+    visited.clear();
+    std::vector<std::string> chain = {Hop(fn, files[fn.file].rel, fn.line)};
+    Walk(root, looped, chain);
+  }
 };
-
-// ---------------------------------------------------------------------------
-// parallel-context
-// ---------------------------------------------------------------------------
-
-void WalkParallel(Walker& w, size_t fi, bool looped,
-                  std::vector<std::string>& chain) {
-  const uint8_t bit = looped ? 2 : 1;
-  uint8_t& state = w.visited[fi];
-  if ((state & bit) != 0) return;
-  state |= bit;
-  const FunctionInfo& fn = w.g.fns[fi];
-  const std::string& rel = w.files[fn.file].rel;
-
-  for (const EffectOrigin& o : fn.origins) {
-    if ((o.effect & kForbiddenInParallel) == 0) continue;
-    if (!looped && !o.in_loop) continue;
-    w.Emit(rel, o.line,
-           "`" + o.what + "` [" + EffectNames(o.effect) +
-               "] executes inside a " + w.ctx +
-               "; move it out of the parallel region or add a justified "
-               "suppression",
-           chain);
-  }
-  for (size_t si : fn.sites) {
-    const CallSite& s = w.g.sites[si];
-    if (s.static_decl) continue;  // runs once, first call only
-    const bool l2 = looped || s.in_loop;
-    for (size_t c : s.callees) {
-      const FunctionInfo& callee = w.g.fns[c];
-      if (IsBoundaryFile(w.files[callee.file].rel)) continue;
-      if (w.Descendable(c)) {
-        chain.push_back(Hop(callee, rel, s.line));
-        WalkParallel(w, c, l2, chain);
-        chain.pop_back();
-        continue;
-      }
-      const uint8_t bad = callee.effects & kForbiddenInParallel;
-      if (bad == 0 || !l2) continue;
-      w.Emit(rel, s.line,
-             "`" + s.name + "` -> " + callee.qual + " [" +
-                 EffectNames(bad) + "] is reachable from a " + w.ctx +
-                 "; hoist the call out of the loop, pre-resolve the handle "
-                 "at setup, or add a justified suppression",
-             chain);
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// hot-transitive-alloc
-// ---------------------------------------------------------------------------
-
-void WalkHot(Walker& w, size_t fi, bool looped,
-             std::vector<std::string>& chain) {
-  const uint8_t bit = looped ? 2 : 1;
-  uint8_t& state = w.visited[fi];
-  if ((state & bit) != 0) return;
-  state |= bit;
-  const FunctionInfo& fn = w.g.fns[fi];
-  const std::string& rel = w.files[fn.file].rel;
-
-  for (const EffectOrigin& o : fn.origins) {
-    if ((o.effect & kEffAllocates) == 0) continue;
-    if (!looped && !o.in_loop) continue;
-    // The per-file hot-path-alloc rule already owns the directly-hot
-    // in-loop and in-parallel cases; this rule adds the transitive ones.
-    if (o.in_parallel) continue;
-    if (fn.hot && o.in_loop) continue;
-    w.Emit(rel, o.line,
-           o.what + " (reached from a // gnndm-hot function)", chain);
-  }
-  for (size_t si : fn.sites) {
-    const CallSite& s = w.g.sites[si];
-    if (s.static_decl) continue;
-    const bool l2 = looped || s.in_loop || s.in_parallel;
-    for (size_t c : s.callees) {
-      const FunctionInfo& callee = w.g.fns[c];
-      if (IsBoundaryFile(w.files[callee.file].rel)) continue;
-      if (w.Descendable(c)) {
-        chain.push_back(Hop(callee, rel, s.line));
-        WalkHot(w, c, l2, chain);
-        chain.pop_back();
-        continue;
-      }
-      if ((callee.effects & kEffAllocates) == 0 || !l2) continue;
-      w.Emit(rel, s.line,
-             "`" + s.name + "` -> " + callee.qual +
-                 " allocates on every iteration of a hot loop; hoist the "
-                 "allocation into caller-owned scratch",
-             chain);
-    }
-  }
-}
 
 // Roots ordered by (file, line) so findings come out deterministic.
 std::vector<size_t> SortedRoots(const std::vector<SourceFile>& files,
-                                const CallGraph& g, bool parallel, bool hot) {
+                                const CallGraph& g,
+                                bool (*is_root)(const FunctionInfo&)) {
   std::vector<size_t> roots;
   for (size_t i = 0; i < g.fns.size(); ++i) {
-    const FunctionInfo& fn = g.fns[i];
-    if (parallel && (fn.parallel_root || fn.producer_root)) roots.push_back(i);
-    if (hot && fn.hot && !fn.is_lambda) roots.push_back(i);
+    if (is_root(g.fns[i])) roots.push_back(i);
   }
   std::sort(roots.begin(), roots.end(), [&](size_t a, size_t b) {
     const FunctionInfo& fa = g.fns[a];
@@ -246,47 +272,13 @@ std::vector<size_t> SortedRoots(const std::vector<SourceFile>& files,
 void AppendEffectArray(std::string& out, uint8_t mask) {
   out += "[";
   bool first = true;
-  static const std::pair<uint8_t, const char*> kNames[] = {
-      {kEffAllocates, "allocates"}, {kEffLocks, "locks"},
-      {kEffBlocks, "blocks"},       {kEffIo, "io"},
-      {kEffRawRng, "raw-rng"}};
-  for (const auto& [bit, nm] : kNames) {
+  for (uint8_t bit = 1; bit <= kEffIo; bit <<= 1) {
     if ((mask & bit) == 0) continue;
     if (!first) out += ", ";
     first = false;
-    out += "\"";
-    out += nm;
-    out += "\"";
+    out += "\"" + EffectNames(bit) + "\"";
   }
   out += "]";
-}
-
-// src/ function indices in (file, line, qual) order.
-std::vector<size_t> SortedSrcFns(const std::vector<SourceFile>& files,
-                                 const CallGraph& g) {
-  std::vector<size_t> idx;
-  for (size_t i = 0; i < g.fns.size(); ++i) {
-    if (files[g.fns[i].file].InDir("src/")) idx.push_back(i);
-  }
-  std::sort(idx.begin(), idx.end(), [&](size_t a, size_t b) {
-    const FunctionInfo& fa = g.fns[a];
-    const FunctionInfo& fb = g.fns[b];
-    if (files[fa.file].rel != files[fb.file].rel) {
-      return files[fa.file].rel < files[fb.file].rel;
-    }
-    if (fa.line != fb.line) return fa.line < fb.line;
-    return fa.qual < fb.qual;
-  });
-  return idx;
-}
-
-std::vector<std::string> SortedCallees(const CallGraph& g,
-                                       const FunctionInfo& fn) {
-  std::set<std::string> quals;
-  for (size_t si : fn.sites) {
-    for (size_t c : g.sites[si].callees) quals.insert(g.fns[c].qual);
-  }
-  return {quals.begin(), quals.end()};
 }
 
 }  // namespace
@@ -296,14 +288,13 @@ std::vector<std::string> SortedCallees(const CallGraph& g,
 // ---------------------------------------------------------------------------
 
 void ComputeEffects(const std::vector<SourceFile>& files, CallGraph& g) {
-  // Per-file shared context.
-  std::vector<std::vector<const Token*>> toks;
-  std::vector<std::set<std::string>> unordered;
-  toks.reserve(files.size());
-  unordered.reserve(files.size());
-  for (const SourceFile& f : files) {
-    toks.push_back(CodeTokens(f));
-    unordered.push_back(UnorderedNames(toks.back()));
+  // Per-file shared context (the graph holds src/ functions only).
+  std::vector<std::vector<const Token*>> toks(files.size());
+  std::vector<std::set<std::string>> unordered(files.size());
+  for (size_t f = 0; f < files.size(); ++f) {
+    if (!files[f].InDir("src/")) continue;
+    toks[f] = CodeTokens(files[f]);
+    unordered[f] = UnorderedNames(toks[f]);
   }
   // Child body ranges to exclude (each lambda owns its own effects).
   std::vector<std::vector<std::pair<size_t, size_t>>> skips(g.fns.size());
@@ -356,28 +347,27 @@ void ComputeEffects(const std::vector<SourceFile>& files, CallGraph& g) {
 
 void CheckParallelContext(const std::vector<SourceFile>& files,
                           const CallGraph& g) {
-  Walker w{files, g, "parallel-context", "", {}, {}};
-  for (size_t root : SortedRoots(files, g, /*parallel=*/true, /*hot=*/false)) {
+  Walker w{files, g, "parallel-context", kForbiddenInParallel, "", {}, {}};
+  for (size_t root : SortedRoots(files, g, [](const FunctionInfo& fn) {
+         return fn.parallel_root || fn.producer_root;
+       })) {
     const FunctionInfo& fn = g.fns[root];
     w.ctx = fn.parallel_root ? "ParallelFor body" : "producer-thread loop";
-    w.visited.clear();
-    std::vector<std::string> chain = {
-        Hop(fn, files[fn.file].rel, fn.line)};
     // A ParallelFor body re-runs per chunk: everything in it is looped.
     // A producer thread body runs once; only its loops are steady-state.
-    WalkParallel(w, root, fn.parallel_root, chain);
+    w.WalkFrom(root, fn.parallel_root);
   }
 }
 
-void CheckHotTransitiveAlloc(const std::vector<SourceFile>& files,
-                             const CallGraph& g) {
-  Walker w{files, g, "hot-transitive-alloc", "hot path", {}, {}};
-  for (size_t root : SortedRoots(files, g, /*parallel=*/false, /*hot=*/true)) {
-    const FunctionInfo& fn = g.fns[root];
-    w.visited.clear();
-    std::vector<std::string> chain = {
-        Hop(fn, files[fn.file].rel, fn.line)};
-    WalkHot(w, root, /*looped=*/false, chain);
+void CheckHotPathAlloc(const std::vector<SourceFile>& files,
+                       const CallGraph& g) {
+  Walker w{files, g, "hot-path-alloc", kEffAllocates, "", {}, {}};
+  for (size_t root : SortedRoots(files, g, [](const FunctionInfo& fn) {
+         return (fn.hot && !fn.is_lambda) || fn.parallel_root;
+       })) {
+    // A // gnndm-hot function allocates per call only inside its loops;
+    // a ParallelFor body, like above, is looped throughout.
+    w.WalkFrom(root, g.fns[root].parallel_root);
   }
 }
 
@@ -401,8 +391,20 @@ void WriteEffectsJson(const std::string& path,
   out += "    \"resolved_pct\": " + std::to_string(pct10 / 10) + "." +
          std::to_string(pct10 % 10) + "\n  },\n  \"functions\": [\n";
 
+  // Functions in (file, line, qual) order.
+  std::vector<size_t> order(g.fns.size());
+  for (size_t i = 0; i < order.size(); ++i) order[i] = i;
+  std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+    const FunctionInfo& fa = g.fns[a];
+    const FunctionInfo& fb = g.fns[b];
+    if (files[fa.file].rel != files[fb.file].rel) {
+      return files[fa.file].rel < files[fb.file].rel;
+    }
+    if (fa.line != fb.line) return fa.line < fb.line;
+    return fa.qual < fb.qual;
+  });
   bool first = true;
-  for (size_t i : SortedSrcFns(files, g)) {
+  for (size_t i : order) {
     const FunctionInfo& fn = g.fns[i];
     if (!first) out += ",\n";
     first = false;
@@ -417,8 +419,12 @@ void WriteEffectsJson(const std::string& path,
     out += ", \"effects\": ";
     AppendEffectArray(out, fn.effects);
     out += ", \"calls\": [";
+    std::set<std::string> quals;
+    for (size_t si : fn.sites) {
+      for (size_t c : g.sites[si].callees) quals.insert(g.fns[c].qual);
+    }
     bool fc = true;
-    for (const std::string& q : SortedCallees(g, fn)) {
+    for (const std::string& q : quals) {
       if (!fc) out += ", ";
       fc = false;
       out += "\"" + json::Escape(q) + "\"";
@@ -426,56 +432,6 @@ void WriteEffectsJson(const std::string& path,
     out += "]}";
   }
   out += "\n  ]\n}\n";
-
-  std::FILE* fp = std::fopen(path.c_str(), "wb");
-  if (fp == nullptr) {
-    std::fprintf(stderr, "gnndm_lint: cannot write %s\n", path.c_str());
-    return;
-  }
-  std::fwrite(out.data(), 1, out.size(), fp);
-  std::fclose(fp);
-}
-
-void WriteEffectsDot(const std::string& path,
-                     const std::vector<SourceFile>& files,
-                     const CallGraph& g) {
-  // Nodes: src/ functions that carry effects or anchor a contract.
-  std::set<size_t> keep;
-  for (size_t i : SortedSrcFns(files, g)) {
-    const FunctionInfo& fn = g.fns[i];
-    if (fn.effects != 0 || fn.hot || fn.parallel_root || fn.producer_root) {
-      keep.insert(i);
-    }
-  }
-  std::string out = "digraph effects {\n  rankdir=LR;\n  node [shape=box, "
-                    "fontsize=10];\n";
-  for (size_t i : SortedSrcFns(files, g)) {
-    if (keep.count(i) == 0) continue;
-    const FunctionInfo& fn = g.fns[i];
-    std::string attrs = "label=\"" + json::Escape(fn.qual) + "\\n[" +
-                        EffectNames(fn.effects) + "]\"";
-    if (fn.hot) attrs += ", color=red";
-    if (fn.parallel_root || fn.producer_root) attrs += ", style=bold";
-    out += "  \"" + json::Escape(fn.qual) + "\" [" + attrs + "];\n";
-  }
-  for (size_t i : SortedSrcFns(files, g)) {
-    if (keep.count(i) == 0) continue;
-    const FunctionInfo& fn = g.fns[i];
-    for (const std::string& q : SortedCallees(g, fn)) {
-      // Only edges between kept nodes, to keep the graph readable.
-      bool found = false;
-      for (size_t k : keep) {
-        if (g.fns[k].qual == q) {
-          found = true;
-          break;
-        }
-      }
-      if (!found) continue;
-      out += "  \"" + json::Escape(fn.qual) + "\" -> \"" + json::Escape(q) +
-             "\";\n";
-    }
-  }
-  out += "}\n";
 
   std::FILE* fp = std::fopen(path.c_str(), "wb");
   if (fp == nullptr) {

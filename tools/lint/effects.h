@@ -1,16 +1,15 @@
-// Interprocedural effect analysis over the call graph: per-function
-// intrinsic effects (allocates / locks / blocks / io / raw-rng) scanned
-// from token patterns, propagated bottom-up to a fixpoint, then checked
-// against the declared contracts:
+// Interprocedural effect analysis over the src/ call graph: per-function
+// intrinsic effects (allocates / locks / blocks / io) scanned from token
+// patterns, propagated bottom-up to a fixpoint, then checked against the
+// two contracts, each a walk from its roots:
 //   - parallel-context: no locks/blocks/io reachable from a ParallelFor
 //     body, or from loop-resident call paths of a producer-thread body
 //     (one-time thread setup is exempt, as are static-local
 //     initializers, which run once);
-//   - hot-transitive-alloc: a `// gnndm-hot` annotation propagates to
-//     every reachable callee — allocation that lands on a per-iteration
-//     path of a hot function is a finding even when the allocating code
-//     is itself unannotated (the direct in-loop/in-parallel cases stay
-//     with the per-file hot-path-alloc rule).
+//   - hot-path-alloc: no allocation on a per-iteration path of a
+//     `// gnndm-hot` function (inside its loops, or anywhere below a call
+//     made in one) or anywhere below a ParallelFor body, however many
+//     unannotated calls down it happens.
 // Findings carry the call chain from the root so the diagnostic shows
 // *why* a line is hot or parallel.
 #ifndef GNNDM_TOOLS_LINT_EFFECTS_H_
@@ -33,16 +32,14 @@ void ComputeEffects(const std::vector<SourceFile>& files, CallGraph& g);
 void CheckParallelContext(const std::vector<SourceFile>& files,
                           const CallGraph& g);
 
-/// hot-transitive-alloc rule (requires ComputeEffects first).
-void CheckHotTransitiveAlloc(const std::vector<SourceFile>& files,
-                             const CallGraph& g);
+/// hot-path-alloc rule (requires ComputeEffects first).
+void CheckHotPathAlloc(const std::vector<SourceFile>& files,
+                       const CallGraph& g);
 
-/// Machine-readable exports (byte-stable across runs on the same tree).
+/// Machine-readable export (byte-stable across runs on the same tree).
 void WriteEffectsJson(const std::string& path,
                       const std::vector<SourceFile>& files,
                       const CallGraph& g);
-void WriteEffectsDot(const std::string& path,
-                     const std::vector<SourceFile>& files, const CallGraph& g);
 
 }  // namespace gnndm_lint
 

@@ -1,7 +1,5 @@
 #include "lint/include_graph.h"
 
-#include <algorithm>
-#include <cctype>
 #include <fstream>
 #include <functional>
 #include <sstream>
@@ -22,6 +20,7 @@ LayerManifest LoadLayerManifest(const fs::path& root) {
   }
   std::string line;
   size_t ln = 0;
+  int layer = 0;
   while (std::getline(in, line)) {
     ++ln;
     const std::string t = Trim(line);
@@ -35,17 +34,17 @@ LayerManifest LoadLayerManifest(const fs::path& root) {
                  "'; expected 'layer <module>...'");
       continue;
     }
-    std::vector<std::string> mods;
+    bool any = false;
     while (words >> word) {
       if (m.layer_of.count(word) > 0) {
         Report(rel, ln, "layering",
                "module '" + word + "' appears in more than one layer");
         continue;
       }
-      m.layer_of[word] = static_cast<int>(m.layers.size());
-      mods.push_back(word);
+      m.layer_of[word] = layer;
+      any = true;
     }
-    if (!mods.empty()) m.layers.push_back(std::move(mods));
+    if (any) ++layer;
   }
   m.loaded = true;
   return m;
@@ -150,229 +149,6 @@ void CheckLayering(const std::vector<SourceFile>& files,
 }
 
 // ---------------------------------------------------------------------------
-// Transitive-include pass (IWYU-lite)
-// ---------------------------------------------------------------------------
-//
-// Each src/ header "provides" the PascalCase types/functions it declares
-// at namespace scope plus the macros it defines. Using a name whose
-// provider is unique, reachable only transitively, and not included
-// directly is a violation: the day the intermediate header drops the
-// include, every such use site breaks at once. Only names with exactly
-// one providing header participate — ambiguous names prove nothing about
-// which include is missing.
-
-namespace {
-
-bool IsPascalCase(const std::string& s) {
-  if (s.size() < 2 || !std::isupper(static_cast<unsigned char>(s[0]))) {
-    return false;
-  }
-  bool has_lower = false;
-  for (char c : s) {
-    if (c == '_') return false;
-    if (std::islower(static_cast<unsigned char>(c))) has_lower = true;
-  }
-  return has_lower;
-}
-
-bool IsMacroName(const std::string& s) {
-  if (s.size() < 4) return false;
-  if (s.size() > 3 && s.compare(s.size() - 3, 3, "_H_") == 0) return false;
-  bool has_underscore = false;
-  for (char c : s) {
-    if (c == '_') {
-      has_underscore = true;
-    } else if (!std::isupper(static_cast<unsigned char>(c)) &&
-               !std::isdigit(static_cast<unsigned char>(c))) {
-      return false;
-    }
-  }
-  return has_underscore;
-}
-
-/// Names `f` declares: PascalCase types defined at namespace scope
-/// (class/struct/enum definitions — forward declarations don't count),
-/// `using X =` aliases, free functions, and #define'd macros.
-std::set<std::string> DeclaredNames(const SourceFile& f,
-                                    const std::vector<const Token*>& toks) {
-  std::set<std::string> names;
-  for (size_t i = 0; i < toks.size() && i < f.tok_flags.size(); ++i) {
-    if ((f.tok_flags[i] & kNsScope) == 0 || (f.tok_flags[i] & kPp) != 0) {
-      continue;
-    }
-    const Token* t = toks[i];
-    if (t->kind != TokKind::kIdent) continue;
-    if (t->text == "class" || t->text == "struct" || t->text == "enum") {
-      size_t j = i + 1;
-      if (j < toks.size() && IsIdent(toks[j], "class")) ++j;  // enum class
-      if (j + 1 < toks.size() && toks[j]->kind == TokKind::kIdent &&
-          IsPascalCase(toks[j]->text) &&
-          (IsPunct(toks[j + 1], "{") || IsPunct(toks[j + 1], ":") ||
-           IsIdent(toks[j + 1], "final"))) {
-        names.insert(toks[j]->text);
-      }
-    } else if (t->text == "using" && i + 2 < toks.size() &&
-               toks[i + 1]->kind == TokKind::kIdent &&
-               IsPascalCase(toks[i + 1]->text) &&
-               IsPunct(toks[i + 2], "=")) {
-      names.insert(toks[i + 1]->text);
-    } else if (IsPascalCase(t->text) && i + 1 < toks.size() &&
-               IsPunct(toks[i + 1], "(") && i > 0 &&
-               (toks[i - 1]->kind == TokKind::kIdent ||
-                IsPunct(toks[i - 1], ">") || IsPunct(toks[i - 1], "&") ||
-                IsPunct(toks[i - 1], "*"))) {
-      // Free function with a preceding return type. Method definitions
-      // (Class::Method) have '::' before the name and are skipped.
-      names.insert(t->text);
-    }
-  }
-  for (const std::string& raw : f.lines) {
-    const std::string t = Trim(raw);
-    if (!StartsWith(t, "#define")) continue;
-    std::istringstream words(t.substr(7));
-    std::string name;
-    words >> name;
-    const size_t paren = name.find('(');
-    if (paren != std::string::npos) name = name.substr(0, paren);
-    if (IsMacroName(name)) names.insert(name);
-  }
-  return names;
-}
-
-}  // namespace
-
-void CheckTransitiveIncludes(std::vector<SourceFile>& files) {
-  std::map<std::string, const SourceFile*> by_rel;
-  for (const SourceFile& f : files) by_rel[f.rel] = &f;
-
-  // name -> providing src/ header (unique providers only).
-  std::map<std::string, std::string> provider;
-  std::set<std::string> ambiguous;
-  std::map<std::string, std::set<std::string>> declared;
-  for (const SourceFile& f : files) {
-    declared[f.rel] = DeclaredNames(f, CodeTokens(f));
-    if (!f.is_header || !f.InDir("src/")) continue;
-    for (const std::string& name : declared[f.rel]) {
-      auto [it, inserted] = provider.emplace(name, f.rel);
-      if (!inserted && it->second != f.rel) ambiguous.insert(name);
-    }
-  }
-  for (const std::string& name : ambiguous) provider.erase(name);
-
-  // Transitive closure of project includes, memoized.
-  std::map<std::string, std::set<std::string>> reach_memo;
-  std::function<const std::set<std::string>&(const std::string&)> reach =
-      [&](const std::string& rel) -> const std::set<std::string>& {
-    auto it = reach_memo.find(rel);
-    if (it != reach_memo.end()) return it->second;
-    reach_memo[rel];  // seed the memo first so include cycles terminate
-    const auto file_it = by_rel.find(rel);
-    if (file_it == by_rel.end()) return reach_memo[rel];
-    std::vector<std::string> direct;
-    for (const IncludeDirective& inc : file_it->second->includes) {
-      if (!inc.resolved.empty()) direct.push_back(inc.resolved);
-    }
-    for (const std::string& d : direct) {
-      reach_memo[rel].insert(d);
-      const std::set<std::string> sub = reach(d);  // copy: memo may grow
-      reach_memo[rel].insert(sub.begin(), sub.end());
-    }
-    return reach_memo[rel];
-  };
-
-  for (SourceFile& f : files) {
-    std::set<std::string> direct;
-    for (const IncludeDirective& inc : f.includes) {
-      if (!inc.resolved.empty()) direct.insert(inc.resolved);
-    }
-    const std::set<std::string> reachable = reach(f.rel);
-    const std::vector<const Token*> toks = CodeTokens(f);
-    const std::set<std::string>& own = declared[f.rel];
-    std::set<std::string> reported;  // one finding per missing header
-    for (size_t i = 0; i < toks.size() && i < f.tok_flags.size(); ++i) {
-      if ((f.tok_flags[i] & kPp) != 0) continue;
-      const Token* t = toks[i];
-      if (t->kind != TokKind::kIdent) continue;
-      if (i > 0 &&
-          (IsPunct(toks[i - 1], ".") || IsPunct(toks[i - 1], "->"))) {
-        continue;  // member access: not a use of the global name
-      }
-      const auto p = provider.find(t->text);
-      if (p == provider.end()) continue;
-      const std::string& hdr = p->second;
-      if (hdr == f.rel || own.count(t->text) > 0) continue;
-      if (direct.count(hdr) > 0 || reported.count(hdr) > 0) continue;
-      // Only flag reliance on a *transitive* include: if the provider is
-      // not reachable at all, the name is a coincidental local.
-      if (reachable.count(hdr) == 0) continue;
-      reported.insert(hdr);
-      Report(f.rel, t->line, "transitive-include",
-             "uses '" + t->text + "' from " + hdr +
-                 " without including it directly (currently reached "
-                 "transitively); add the include or run --fix",
-             hdr);
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Include-order rule
-// ---------------------------------------------------------------------------
-
-namespace {
-
-/// A contiguous run of quoted project-include lines.
-struct IncludeBlock {
-  size_t first_idx = 0;  // index into f.includes
-  size_t count = 0;
-};
-
-std::vector<IncludeBlock> ProjectIncludeBlocks(const SourceFile& f) {
-  std::vector<IncludeBlock> blocks;
-  for (size_t i = 0; i < f.includes.size(); ++i) {
-    if (f.includes[i].angled || f.includes[i].resolved.empty()) continue;
-    if (!blocks.empty()) {
-      const IncludeDirective& prev =
-          f.includes[blocks.back().first_idx + blocks.back().count - 1];
-      if (f.includes[i].line == prev.line + 1) {
-        ++blocks.back().count;
-        continue;
-      }
-    }
-    blocks.push_back({i, 1});
-  }
-  return blocks;
-}
-
-}  // namespace
-
-void CheckIncludeOrder(const SourceFile& f) {
-  const std::string own = OwnHeaderPath(f);
-  bool first_block = true;
-  for (const IncludeBlock& b : ProjectIncludeBlocks(f)) {
-    std::vector<std::string> paths;
-    for (size_t k = 0; k < b.count; ++k) {
-      paths.push_back(f.includes[b.first_idx + k].path);
-    }
-    // The own header may (and should) lead the first block out of order.
-    size_t begin = 0;
-    if (first_block && !own.empty() && !paths.empty() && paths[0] == own) {
-      begin = 1;
-    }
-    first_block = false;
-    for (size_t k = begin + 1; k < paths.size(); ++k) {
-      if (paths[k] < paths[k - 1]) {
-        Report(f.rel, f.includes[b.first_idx + k].line, "include-order",
-               "project include block is not sorted ('" + paths[k] +
-                   "' after '" + paths[k - 1] +
-                   "'); sort it or run --fix");
-        break;
-      }
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
 // Dependency-graph export
 // ---------------------------------------------------------------------------
 
@@ -397,200 +173,6 @@ void WriteGraphJson(const std::string& path, const LayerManifest& manifest,
     first = false;
   }
   out << "\n  ]\n}\n";
-}
-
-void WriteGraphDot(const std::string& path, const LayerManifest& manifest,
-                   const ModuleGraph& graph) {
-  std::ofstream out(path);
-  out << "digraph gnndm_modules {\n  rankdir=BT;\n"
-      << "  node [shape=box, fontname=\"Helvetica\"];\n";
-  for (size_t l = 0; l < manifest.layers.size(); ++l) {
-    out << "  { rank=same;";
-    for (const std::string& m : manifest.layers[l]) {
-      if (graph.modules.count(m) > 0) out << " \"" << m << "\";";
-    }
-    out << " }  // layer " << l << "\n";
-  }
-  for (const auto& [edge, count] : graph.edge_count) {
-    out << "  \"" << edge.first << "\" -> \"" << edge.second
-        << "\" [label=\"" << count << "\"];\n";
-  }
-  out << "}\n";
-}
-
-// ---------------------------------------------------------------------------
-// --fix: mechanical rewrites for guard / direct-include / ordering
-// ---------------------------------------------------------------------------
-
-namespace {
-
-/// The include-line text a repo-relative header goes by in this tree
-/// (quoted paths are rooted at src/).
-std::string IncludeSpelling(const std::string& resolved) {
-  return StartsWith(resolved, "src/") ? resolved.substr(4) : resolved;
-}
-
-/// Rewrites `lines` in place: inserts the missing include guard, adds
-/// the missing direct includes, and re-sorts every project-include
-/// block. Returns true if anything changed.
-bool FixFileLines(const SourceFile& f, const std::set<std::string>& add,
-                  bool fix_guard, const fs::path& root,
-                  std::vector<std::string>& lines) {
-  const std::vector<std::string> before = lines;
-
-  auto is_project_include = [&](const std::string& raw,
-                                std::string* path_out) {
-    const std::string t = Trim(raw);
-    if (!StartsWith(t, "#include \"")) return false;
-    const size_t e = t.find('"', 10);
-    if (e == std::string::npos) return false;
-    const std::string p = t.substr(10, e - 10);
-    if (!fs::exists(root / "src" / p) && !fs::exists(root / p) &&
-        !fs::exists(root / fs::path(f.rel).parent_path() / p)) {
-      return false;
-    }
-    if (path_out != nullptr) *path_out = p;
-    return true;
-  };
-
-  if (fix_guard && f.is_header) {
-    const std::string guard = ExpectedGuard(f.rel);
-    // After the leading comment block, before the first code line.
-    size_t at = 0;
-    while (at < lines.size() &&
-           (Trim(lines[at]).empty() || StartsWith(Trim(lines[at]), "//"))) {
-      ++at;
-    }
-    lines.insert(lines.begin() + static_cast<long>(at),
-                 {"#ifndef " + guard, "#define " + guard, ""});
-    while (!lines.empty() && Trim(lines.back()).empty()) lines.pop_back();
-    lines.push_back("");
-    lines.push_back("#endif  // " + guard);
-  }
-
-  if (!add.empty()) {
-    // Insert into the last project-include block that isn't just the own
-    // header; create a fresh block if there is none.
-    std::vector<std::pair<size_t, size_t>> blocks;  // [first, last] line idx
-    std::string p;
-    for (size_t i = 0; i < lines.size(); ++i) {
-      if (!is_project_include(lines[i], &p)) continue;
-      if (!blocks.empty() && blocks.back().second + 1 == i) {
-        blocks.back().second = i;
-      } else {
-        blocks.emplace_back(i, i);
-      }
-    }
-    const std::string own = OwnHeaderPath(f);
-    size_t insert_at = 0;
-    bool found = false;
-    for (size_t b = blocks.size(); b-- > 0;) {
-      const auto [first, last] = blocks[b];
-      std::string only;
-      if (first == last && is_project_include(lines[first], &only) &&
-          only == own && blocks.size() > 1) {
-        continue;  // the lone own-header line stays its own block
-      }
-      insert_at = last + 1;
-      found = true;
-      break;
-    }
-    std::vector<std::string> newlines;
-    for (const std::string& hdr : add) {
-      newlines.push_back("#include \"" + IncludeSpelling(hdr) + "\"");
-    }
-    if (!found) {
-      // No project block: after the last include line of any kind, or
-      // after the guard's #define in an include-less header.
-      size_t after = 0;
-      bool have = false;
-      for (size_t i = 0; i < lines.size(); ++i) {
-        if (StartsWith(Trim(lines[i]), "#include") ||
-            StartsWith(Trim(lines[i]), "#define " + ExpectedGuard(f.rel))) {
-          after = i + 1;
-          have = true;
-        }
-      }
-      if (!have) after = 0;
-      newlines.insert(newlines.begin(), "");
-      lines.insert(lines.begin() + static_cast<long>(after),
-                   newlines.begin(), newlines.end());
-    } else {
-      lines.insert(lines.begin() + static_cast<long>(insert_at),
-                   newlines.begin(), newlines.end());
-    }
-  }
-
-  // Re-sort every project block (own header pinned first in the first).
-  {
-    std::vector<std::pair<size_t, size_t>> blocks;
-    std::string p;
-    for (size_t i = 0; i < lines.size(); ++i) {
-      if (!is_project_include(lines[i], &p)) continue;
-      if (!blocks.empty() && blocks.back().second + 1 == i) {
-        blocks.back().second = i;
-      } else {
-        blocks.emplace_back(i, i);
-      }
-    }
-    const std::string own = OwnHeaderPath(f);
-    for (size_t b = 0; b < blocks.size(); ++b) {
-      const auto [first, last] = blocks[b];
-      std::vector<std::string> blk(lines.begin() + static_cast<long>(first),
-                                   lines.begin() + static_cast<long>(last) +
-                                       1);
-      std::sort(blk.begin(), blk.end(),
-                [&](const std::string& x, const std::string& y) {
-                  std::string px, py;
-                  is_project_include(x, &px);
-                  is_project_include(y, &py);
-                  if (b == 0 && !own.empty()) {
-                    if (px == own) return py != own;
-                    if (py == own) return false;
-                  }
-                  return px < py;
-                });
-      blk.erase(std::unique(blk.begin(), blk.end()), blk.end());
-      lines.erase(lines.begin() + static_cast<long>(first),
-                  lines.begin() + static_cast<long>(last) + 1);
-      lines.insert(lines.begin() + static_cast<long>(first), blk.begin(),
-                   blk.end());
-    }
-  }
-  return lines != before;
-}
-
-}  // namespace
-
-size_t ApplyFixes(const std::vector<SourceFile>& files,
-                  const fs::path& root) {
-  std::map<std::string, std::set<std::string>> add_include;
-  std::set<std::string> resort;
-  std::set<std::string> add_guard;
-  for (const Finding& v : Violations()) {
-    if (v.rule == "transitive-include" && !v.fix_path.empty()) {
-      add_include[v.file].insert(v.fix_path);
-    } else if (v.rule == "include-order") {
-      resort.insert(v.file);
-    } else if (v.rule == "include-guard") {
-      add_guard.insert(v.file);
-    }
-  }
-  size_t fixed = 0;
-  for (const SourceFile& f : files) {
-    const bool want = add_include.count(f.rel) > 0 ||
-                      resort.count(f.rel) > 0 || add_guard.count(f.rel) > 0;
-    if (!want) continue;
-    std::vector<std::string> lines = f.lines;
-    if (!FixFileLines(f, add_include[f.rel], add_guard.count(f.rel) > 0,
-                      root, lines)) {
-      continue;
-    }
-    std::ofstream out(root / f.rel);
-    for (const std::string& line : lines) out << line << "\n";
-    ++fixed;
-  }
-  return fixed;
 }
 
 }  // namespace gnndm_lint

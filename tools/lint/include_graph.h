@@ -1,6 +1,5 @@
-// Repo-level include analysis: module layering against tools/layers.txt,
-// the IWYU-lite transitive-include pass, include-order enforcement, the
-// module-graph exports, and the --fix rewriter for the mechanical rules.
+// Repo-level include analysis: the module dependency graph, layering
+// against tools/layers.txt, and the module-graph JSON export.
 #ifndef GNNDM_TOOLS_LINT_INCLUDE_GRAPH_H_
 #define GNNDM_TOOLS_LINT_INCLUDE_GRAPH_H_
 
@@ -17,8 +16,7 @@ namespace gnndm_lint {
 
 struct LayerManifest {
   bool loaded = false;
-  std::map<std::string, int> layer_of;             // module -> layer index
-  std::vector<std::vector<std::string>> layers;    // index -> modules
+  std::map<std::string, int> layer_of;  // module -> layer index
 };
 
 LayerManifest LoadLayerManifest(const std::filesystem::path& root);
@@ -36,24 +34,13 @@ struct ModuleGraph {
 ModuleGraph BuildModuleGraph(const std::vector<SourceFile>& files);
 
 /// Layering pass: manifest membership, direction, and cycles. Reports
-/// one finding per offending #include line so suppressions (and fixes)
-/// land where the dependency is introduced.
+/// one finding per offending #include line so suppressions land where
+/// the dependency is introduced.
 void CheckLayering(const std::vector<SourceFile>& files,
                    const LayerManifest& manifest, const ModuleGraph& graph);
 
-void CheckTransitiveIncludes(std::vector<SourceFile>& files);
-
-void CheckIncludeOrder(const SourceFile& f);
-
 void WriteGraphJson(const std::string& path, const LayerManifest& manifest,
                     const ModuleGraph& graph);
-void WriteGraphDot(const std::string& path, const LayerManifest& manifest,
-                   const ModuleGraph& graph);
-
-/// Applies every mechanical fix implied by the current findings and
-/// writes the changed files. Returns the number of files rewritten.
-size_t ApplyFixes(const std::vector<SourceFile>& files,
-                  const std::filesystem::path& root);
 
 }  // namespace gnndm_lint
 

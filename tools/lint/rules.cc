@@ -2,8 +2,6 @@
 
 #include <cctype>
 
-#include "lint/include_graph.h"
-
 namespace gnndm_lint {
 
 namespace {
@@ -126,45 +124,6 @@ void CheckDeserializationValidates(const SourceFile& f,
   }
 }
 
-/// True if `line` is `for (` at an indent of at least `min_indent` spaces.
-bool IsForAtIndent(const std::string& line, size_t min_indent) {
-  size_t p = 0;
-  while (p < line.size() && line[p] == ' ') ++p;
-  return p >= min_indent && line.compare(p, 5, "for (") == 0;
-}
-
-/// Hot-kernel loops in src/tensor and src/nn must go through the
-/// ParallelFor work-sharing layer. Heuristic: a function-top-level `for`
-/// (exactly 2-space indent in this codebase) containing a nested loop is
-/// kernel-shaped. Operates on comment/string-blanked `code` lines.
-void CheckRawLoopKernels(const SourceFile& f) {
-  if (!f.is_source ||
-      (!f.InDir("src/tensor/") && !f.InDir("src/nn/"))) {
-    return;
-  }
-  const std::vector<std::string>& code = f.code;
-  for (size_t i = 0; i < code.size(); ++i) {
-    if (code[i].rfind("  for (", 0) != 0 || code[i][2] != 'f') continue;
-    long depth = 0;
-    bool nested = false;
-    for (size_t j = i; j < code.size(); ++j) {
-      if (j > i && IsForAtIndent(code[j], 4)) nested = true;
-      for (char c : code[j]) {
-        if (c == '{') ++depth;
-        if (c == '}') --depth;
-      }
-      if (j > i && depth <= 0) break;
-      if (j == i && depth == 0) break;  // braceless one-liner
-    }
-    if (nested) {
-      Report(f, i + 1, "raw-loop-kernel",
-             "nested loop in a tensor/nn kernel bypasses ParallelFor "
-             "(common/parallel_for.h); parallelize it or mark it "
-             "'// serial-ok: <reason>'");
-    }
-  }
-}
-
 /// The pipeline-stage directories must not time work outside the span
 /// tracer: a raw WallTimer there produces numbers telemetry (and the
 /// EpochStats reconciliation test) cannot see.
@@ -180,7 +139,7 @@ void CheckTimerUse(const SourceFile& f,
       Report(f, t->line, "raw-timer",
              "direct WallTimer in a pipeline-stage directory escapes the "
              "telemetry breakdown; use TRACE_SPAN(\"subsystem.name\") or "
-             "mark the line '// timer-ok: <reason>'");
+             "add a justified suppression");
     }
   }
 }
@@ -471,33 +430,6 @@ void CheckFloatAccumInParallel(const SourceFile& f,
   }
 }
 
-/// Perf rule (the paper's central measurement): per-iteration heap
-/// allocation inside sampler/kernel inner loops is a silent framework
-/// overhead that corrupts exactly the data-management costs this repo
-/// exists to measure. A token is "hot" when it sits inside a
-/// ParallelFor/ParallelFor2D call extent (the body runs once per chunk
-/// on the worker pool), or inside a loop of a function annotated
-/// `// gnndm-hot` (so the fix — hoisting the buffer above the loop, into
-/// SamplerScratch or a caller-owned scratch struct — is by construction
-/// not re-flagged). The pattern matcher is AllocationSites;
-/// the effect pass reuses it for the transitive `allocates` effect.
-void CheckHotPathAlloc(const SourceFile& f,
-                       const std::vector<const Token*>& toks,
-                       const std::vector<uint8_t>& flags) {
-  if (!f.InDir("src/")) return;
-  const std::set<std::string> unordered = UnorderedNames(toks);
-  for (const AllocSite& site :
-       AllocationSites(toks, 0, toks.size(), unordered, flags)) {
-    if (site.tok_index >= flags.size()) continue;
-    const uint8_t fl = flags[site.tok_index];
-    const bool hot =
-        (fl & kInParallel) != 0 ||
-        ((fl & kInHotFn) != 0 && (fl & kInLoop) != 0);
-    if (!hot) continue;
-    Report(f, site.line, "hot-path-alloc", site.message);
-  }
-}
-
 }  // namespace
 
 std::set<std::string> UnorderedNames(const std::vector<const Token*>& toks) {
@@ -524,102 +456,6 @@ std::set<std::string> UnorderedNames(const std::vector<const Token*>& toks) {
   return names;
 }
 
-bool IsStaticDecl(const std::vector<const Token*>& toks, size_t i) {
-  for (size_t back = 0; back < 4 && i - back > 0; ++back) {
-    const Token* t = toks[i - back - 1];
-    if (IsPunct(t, ";") || IsPunct(t, "{") || IsPunct(t, "}") ||
-        IsPunct(t, "(")) {
-      return false;
-    }
-    if (IsIdent(t, "static") || IsIdent(t, "thread_local")) return true;
-  }
-  return false;
-}
-
-std::vector<AllocSite> AllocationSites(const std::vector<const Token*>& toks,
-                                       size_t begin, size_t end,
-                                       const std::set<std::string>& unordered,
-                                       const std::vector<uint8_t>& flags) {
-  std::vector<AllocSite> out;
-  static const std::set<std::string> kOwningContainers = {
-      "vector", "string", "deque", "map", "set",
-      "unordered_map", "unordered_set", "multimap", "multiset",
-  };
-  if (end > toks.size()) end = toks.size();
-  for (size_t i = begin; i < end; ++i) {
-    if (i < flags.size() && (flags[i] & kPp) != 0) continue;
-    const Token* t = toks[i];
-    if (t->kind != TokKind::kIdent) continue;
-    const bool member =
-        i > 0 && (IsPunct(toks[i - 1], ".") || IsPunct(toks[i - 1], "->"));
-
-    if (t->text == "new" && !member) {
-      out.push_back({i, t->line,
-                     "'new' on a hot path allocates per iteration; hoist "
-                     "the buffer into caller-owned scratch (see "
-                     "SamplerScratch)"});
-      continue;
-    }
-    if (!member &&
-        (t->text == "make_unique" || t->text == "make_shared")) {
-      out.push_back({i, t->line,
-                     "std::" + t->text +
-                         " on a hot path allocates per iteration; "
-                         "construct the object once outside and reuse it"});
-      continue;
-    }
-    const bool std_qualified = i >= 2 && IsPunct(toks[i - 1], "::") &&
-                               IsIdent(toks[i - 2], "std");
-    if (std_qualified && t->text == "function") {
-      out.push_back({i, t->line,
-                     "std::function on a hot path type-erases (and usually "
-                     "heap-allocates) per materialization; take a "
-                     "gnndm::FunctionRef (common/function_ref.h) instead"});
-      continue;
-    }
-    if (std_qualified && kOwningContainers.count(t->text) > 0) {
-      // `using X = std::vector<...>` defines a type, allocates nothing.
-      if (i >= 5 && IsPunct(toks[i - 3], "=") &&
-          IsIdent(toks[i - 5], "using")) {
-        continue;
-      }
-      size_t j = i + 1;
-      if (j < toks.size() && IsPunct(toks[j], "<")) {
-        j = SkipTemplateArgs(toks, j);
-      }
-      // A reference/pointer to an existing container, or nested type
-      // access (std::vector<T>::iterator), does not allocate.
-      bool non_owning = false;
-      while (j < toks.size() &&
-             (IsPunct(toks[j], "&") || IsPunct(toks[j], "*") ||
-              IsPunct(toks[j], "::") || IsIdent(toks[j], "const"))) {
-        non_owning = true;
-        ++j;
-      }
-      if (non_owning || IsStaticDecl(toks, i - 2)) continue;
-      out.push_back({i, t->line,
-                     "constructing a std::" + t->text +
-                         " on a hot path allocates per iteration; hoist it "
-                         "above the loop / ParallelFor and reuse its "
-                         "capacity"});
-      continue;
-    }
-    if (member &&
-        (t->text == "insert" || t->text == "emplace" ||
-         t->text == "try_emplace") &&
-        i >= 2 && toks[i - 2]->kind == TokKind::kIdent &&
-        unordered.count(toks[i - 2]->text) > 0) {
-      out.push_back({i, t->line,
-                     "insertion into unordered container '" +
-                         toks[i - 2]->text +
-                         "' on a hot path allocates a node (and may "
-                         "rehash) per key; pre-size a flat structure or "
-                         "renumber with VertexRenumberer scratch"});
-    }
-  }
-  return out;
-}
-
 void RunFileRules(const SourceFile& f) {
   const std::vector<const Token*> toks = CodeTokens(f);
   CheckIncludeGuard(f);
@@ -627,15 +463,12 @@ void RunFileRules(const SourceFile& f) {
   CheckBatchPlane(f, toks);
   CheckAssert(f, toks);
   CheckDeserializationValidates(f, toks);
-  CheckRawLoopKernels(f);
   CheckTimerUse(f, toks);
   CheckUnorderedIteration(f, toks);
   CheckRawRng(f, toks);
   CheckSimdIsolation(f, toks);
   CheckThreadIdInStats(f, toks);
   CheckFloatAccumInParallel(f, toks);
-  CheckHotPathAlloc(f, toks, f.tok_flags);
-  CheckIncludeOrder(f);
 }
 
 void CheckMetricNameRegistry(const std::vector<SourceFile>& files) {

@@ -1,5 +1,5 @@
-// Per-file lint rules (see the catalogue in tools/gnndm_lint.cc and
-// DESIGN.md §11), plus the token-pattern helpers the interprocedural
+// Per-file lint rules (see the catalogue in DESIGN.md §11), the
+// metric-name registry pass, and the unordered-container matcher the
 // effect pass shares with them.
 #ifndef GNNDM_TOOLS_LINT_RULES_H_
 #define GNNDM_TOOLS_LINT_RULES_H_
@@ -16,31 +16,7 @@ namespace gnndm_lint {
 /// container type. Over-approximates on purpose — see the rule comment.
 std::set<std::string> UnorderedNames(const std::vector<const Token*>& toks);
 
-/// True if a declaration whose type starts at toks[i] is static or
-/// thread_local (scan back a few tokens, stopping at statement
-/// boundaries) — such a local allocates once, not per iteration.
-bool IsStaticDecl(const std::vector<const Token*>& toks, size_t i);
-
-/// One heap-allocation pattern match (the PR 6 hot-path-alloc patterns):
-/// `new`, make_unique/make_shared, owning-container construction,
-/// std::function materialization, unordered insertion.
-struct AllocSite {
-  size_t tok_index;     // index into the code-token vector
-  size_t line;
-  std::string message;  // the hot-path-alloc diagnostic for this pattern
-};
-
-/// Scans toks[begin, end) for the allocation patterns, independent of
-/// hotness. CheckHotPathAlloc filters the result by scope flags; the
-/// effect pass uses it verbatim to infer the `allocates` effect.
-/// `unordered` is the file-wide UnorderedNames set; tokens whose flag in
-/// `flags` has kPp set are skipped (pass an empty vector to disable).
-std::vector<AllocSite> AllocationSites(const std::vector<const Token*>& toks,
-                                       size_t begin, size_t end,
-                                       const std::set<std::string>& unordered,
-                                       const std::vector<uint8_t>& flags);
-
-/// Runs every per-file rule on `f` (include-order included).
+/// Runs every per-file rule on `f`.
 void RunFileRules(const SourceFile& f);
 
 /// Repo pass: every GetCounter/GetGauge/GetHistogram call site in src/

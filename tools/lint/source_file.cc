@@ -6,8 +6,6 @@
 #include <fstream>
 #include <sstream>
 
-#include "lint/scopes.h"
-
 namespace gnndm_lint {
 
 namespace fs = std::filesystem;
@@ -17,8 +15,8 @@ std::vector<Finding> g_violations;
 }  // namespace
 
 void Report(const std::string& rel, size_t line, const std::string& rule,
-            const std::string& message, const std::string& fix_path) {
-  g_violations.push_back({rel, line, rule, message, fix_path, {}});
+            const std::string& message) {
+  g_violations.push_back({rel, line, rule, message, {}});
 }
 
 void Report(const SourceFile& f, size_t line, const std::string& rule,
@@ -29,7 +27,7 @@ void Report(const SourceFile& f, size_t line, const std::string& rule,
 void ReportChain(const std::string& rel, size_t line, const std::string& rule,
                  const std::string& message,
                  const std::vector<std::string>& chain) {
-  g_violations.push_back({rel, line, rule, message, "", chain});
+  g_violations.push_back({rel, line, rule, message, chain});
 }
 
 std::vector<Finding>& Violations() { return g_violations; }
@@ -38,82 +36,52 @@ void ClearViolations() { g_violations.clear(); }
 
 const std::set<std::string>& KnownRules() {
   static const std::set<std::string> kRules = {
-      "include-guard",      "raw-lock",
-      "raw-thread",         "batch-plane",
-      "assert-in-cc",       "deserialize-validate",
-      "raw-loop-kernel",    "raw-timer",
-      "unordered-iteration", "raw-rng",
-      "thread-id-in-stats", "float-accum-in-parallel",
-      "layering",           "transitive-include",
-      "include-order",      "hot-path-alloc",
-      "simd-isolation",     "metric-name-registry",
-      "parallel-context",   "hot-transitive-alloc",
+      "include-guard",       "raw-lock",
+      "raw-thread",          "batch-plane",
+      "assert-in-cc",        "deserialize-validate",
+      "raw-timer",           "unordered-iteration",
+      "raw-rng",             "thread-id-in-stats",
+      "float-accum-in-parallel", "layering",
+      "hot-path-alloc",      "simd-isolation",
+      "metric-name-registry", "parallel-context",
   };
   return kRules;
 }
 
 std::vector<Suppression> CollectSuppressions(const SourceFile& f) {
   std::vector<Suppression> out;
-  const std::map<std::string, std::string> kLegacy = {
-      {"serial-ok", "raw-loop-kernel"},
-      {"timer-ok", "raw-timer"},
-      {"batch-plane-ok", "batch-plane"},
-  };
   for (const Token& tok : f.tokens) {
     if (tok.kind != TokKind::kComment) continue;
     const std::string& text = tok.text;
     const size_t at = text.find("gnndm-lint:");
-    if (at != std::string::npos) {
-      const size_t sup = text.find("suppress", at);
-      const size_t open = text.find('(', at);
-      const size_t close = text.find(')', at);
-      if (sup == std::string::npos || open == std::string::npos ||
-          close == std::string::npos || close < open) {
-        Report(f, tok.line, "bad-suppression",
-               "malformed suppression; expected 'gnndm-lint: "
-               "suppress(<rule-id>): <justification>'");
-        continue;
-      }
-      const std::string rule = Trim(text.substr(open + 1, close - open - 1));
-      if (KnownRules().count(rule) == 0) {
-        Report(f, tok.line, "bad-suppression",
-               "suppression names unknown rule '" + rule + "'");
-        continue;
-      }
-      const size_t colon = text.find(':', close);
-      const std::string just =
-          colon == std::string::npos ? "" : Trim(text.substr(colon + 1));
-      if (just.empty()) {
-        Report(f, tok.line, "bad-suppression",
-               "suppression of '" + rule +
-                   "' carries no justification; write 'gnndm-lint: "
-                   "suppress(" + rule + "): <why this is safe>'");
-        continue;
-      }
-      out.push_back({tok.line, rule, just, /*legacy=*/false, false});
+    if (at == std::string::npos) continue;
+    const size_t sup = text.find("suppress", at);
+    const size_t open = text.find('(', at);
+    const size_t close = text.find(')', at);
+    if (sup == std::string::npos || open == std::string::npos ||
+        close == std::string::npos || close < open) {
+      Report(f, tok.line, "bad-suppression",
+             "malformed suppression; expected 'gnndm-lint: "
+             "suppress(<rule-id>): <justification>'");
       continue;
     }
-    for (const auto& [marker, rule] : kLegacy) {
-      const size_t pos = text.find(marker);
-      if (pos == std::string::npos) continue;
-      // Require a word boundary so e.g. "not serial-ok" in prose with a
-      // preceding identifier char doesn't count; markers start the
-      // escape grammar with "<marker>:".
-      if (pos > 0 && (std::isalnum(static_cast<unsigned char>(
-                          text[pos - 1])) ||
-                      text[pos - 1] == '-' || text[pos - 1] == '_')) {
-        continue;
-      }
-      const size_t colon = pos + marker.size();
-      if (colon >= text.size() || text[colon] != ':') continue;
-      const std::string just = Trim(text.substr(colon + 1));
-      if (just.empty()) {
-        Report(f, tok.line, "bad-suppression",
-               "'" + marker + "' marker carries no justification text");
-        continue;
-      }
-      out.push_back({tok.line, rule, just, /*legacy=*/true, false});
+    const std::string rule = Trim(text.substr(open + 1, close - open - 1));
+    if (KnownRules().count(rule) == 0) {
+      Report(f, tok.line, "bad-suppression",
+             "suppression names unknown rule '" + rule + "'");
+      continue;
     }
+    const size_t colon = text.find(':', close);
+    const std::string just =
+        colon == std::string::npos ? "" : Trim(text.substr(colon + 1));
+    if (just.empty()) {
+      Report(f, tok.line, "bad-suppression",
+             "suppression of '" + rule +
+                 "' carries no justification; write 'gnndm-lint: "
+                 "suppress(" + rule + "): <why this is safe>'");
+      continue;
+    }
+    out.push_back({tok.line, rule, false});
   }
   return out;
 }
@@ -222,13 +190,6 @@ std::string ExpectedGuard(const std::string& rel) {
   return guard;
 }
 
-std::string OwnHeaderPath(const SourceFile& f) {
-  if (!f.is_source) return "";
-  std::string h = f.rel.substr(0, f.rel.size() - 3) + ".h";
-  if (StartsWith(h, "src/")) h = h.substr(4);
-  return h;
-}
-
 namespace {
 
 void CollectIncludes(SourceFile& f, const fs::path& root) {
@@ -243,8 +204,7 @@ void CollectIncludes(SourceFile& f, const fs::path& root) {
     IncludeDirective inc;
     inc.line = ln + 1;
     inc.path = t.substr(q + 1, e - q - 1);
-    inc.angled = t[q] == '<';
-    if (!inc.angled) {
+    if (t[q] == '"') {
       // Quoted paths are rooted at src/ (the tree's single include dir),
       // with repo-root and includer-relative fallbacks.
       if (fs::exists(root / "src" / inc.path)) {
@@ -262,30 +222,6 @@ void CollectIncludes(SourceFile& f, const fs::path& root) {
   }
 }
 
-/// Source lines with comments and string/char literal bodies blanked,
-/// reconstructed from the token stream (used by line-shape heuristics).
-std::vector<std::string> BlankedLines(const SourceFile& f) {
-  std::vector<std::string> code = f.lines;
-  // Blank everything, then re-project non-comment/non-string tokens that
-  // fit on a single line. Multi-line tokens (block comments, raw
-  // strings) simply stay blank — exactly what the heuristics want.
-  for (auto& line : code) line.assign(line.size(), ' ');
-  for (const Token& t : f.tokens) {
-    if (t.kind == TokKind::kComment || t.kind == TokKind::kString ||
-        t.kind == TokKind::kChar) {
-      continue;
-    }
-    if (t.line == 0 || t.line > f.lines.size()) continue;
-    const std::string& orig = f.lines[t.line - 1];
-    const size_t at = orig.find(t.text);
-    if (at != std::string::npos &&
-        at + t.text.size() <= code[t.line - 1].size()) {
-      code[t.line - 1].replace(at, t.text.size(), t.text);
-    }
-  }
-  return code;
-}
-
 }  // namespace
 
 SourceFile LoadFile(const fs::path& path, const fs::path& root,
@@ -297,19 +233,22 @@ SourceFile LoadFile(const fs::path& path, const fs::path& root,
   std::ifstream in(path);
   std::stringstream buffer;
   buffer << in.rdbuf();
-  f.contents = buffer.str();
+  const std::string contents = buffer.str();
   {
     std::string line;
-    std::istringstream stream(f.contents);
+    std::istringstream stream(contents);
     while (std::getline(stream, line)) f.lines.push_back(line);
   }
-  f.tokens = Lex(f.contents);
-  f.code = BlankedLines(f);
+  f.tokens = Lex(contents);
   f.is_header = path.extension() == ".h";
   f.is_source = path.extension() == ".cc";
   f.module = ModuleOf(f.rel);
   CollectIncludes(f, root);
-  f.tok_flags = ScanScopes(f, CodeTokens(f), PreprocessorLines(f.lines));
+  const std::vector<bool> pp = PreprocessorLines(f.lines);
+  for (const Token& t : f.tokens) {
+    if (t.kind == TokKind::kComment) continue;
+    f.in_pp.push_back(t.line < pp.size() && pp[t.line]);
+  }
   return f;
 }
 

@@ -1,10 +1,10 @@
 // File model shared by every gnndm_lint pass: the lexed token stream,
-// per-token scope flags, resolved includes, findings registry, and the
-// justification-required suppression grammar.
+// the preprocessor mask over its code tokens, resolved includes, the
+// findings registry, and the justification-required suppression grammar.
 #ifndef GNNDM_TOOLS_LINT_SOURCE_FILE_H_
 #define GNNDM_TOOLS_LINT_SOURCE_FILE_H_
 
-#include <cstdint>
+#include <cstdio>
 #include <filesystem>
 #include <map>
 #include <set>
@@ -20,29 +20,17 @@ namespace gnndm_lint {
 struct IncludeDirective {
   size_t line = 0;    // 1-based
   std::string path;   // text between the delimiters, verbatim
-  bool angled = false;
   std::string resolved;
-};
-
-/// Per-token scope flags, parallel to the code-token vector (see
-/// ScanScopes). A token may carry several at once.
-enum ScopeFlag : uint8_t {
-  kNsScope = 1,     // namespace/global scope (type bodies excluded)
-  kInLoop = 2,      // inside at least one loop body
-  kInParallel = 4,  // inside a ParallelFor/2D call extent
-  kInHotFn = 8,     // inside a function annotated // gnndm-hot
-  kInLambda = 16,   // inside a lambda body
-  kPp = 32,         // on a preprocessor line
 };
 
 struct SourceFile {
   std::string rel;                  // path relative to repo root
-  std::string contents;
   std::vector<std::string> lines;   // raw source lines
-  std::vector<std::string> code;    // lines with comments/strings blanked
   std::vector<Token> tokens;        // comment tokens included
   std::vector<IncludeDirective> includes;
-  std::vector<uint8_t> tok_flags;   // parallel to CodeTokens(*this)
+  // Parallel to CodeTokens(*this): the token sits on a preprocessor line
+  // (backslash continuations included), which no code pattern matches.
+  std::vector<bool> in_pp;
   std::string module;               // src/<m>/ -> m; tools/bench/tests/...
   bool is_header = false;
   bool is_source = false;
@@ -57,9 +45,6 @@ struct Finding {
   size_t line;  // 0 = whole-file
   std::string rule;
   std::string message;
-  // Machine-readable fix payload: for transitive-include, the
-  // repo-relative header to add; unused otherwise.
-  std::string fix_path;
   // Interprocedural findings carry the call/effect chain from the
   // checked root to the offending site, outermost first.
   std::vector<std::string> chain;
@@ -68,15 +53,13 @@ struct Finding {
 struct Suppression {
   size_t line;
   std::string rule;
-  std::string justification;
-  bool legacy = false;  // serial-ok / timer-ok / batch-plane-ok shorthand
   bool used = false;
 };
 
 // Findings registry (process-global: the tool is single-threaded and
 // analyzes one tree at a time).
 void Report(const std::string& rel, size_t line, const std::string& rule,
-            const std::string& message, const std::string& fix_path = "");
+            const std::string& message);
 void Report(const SourceFile& f, size_t line, const std::string& rule,
             const std::string& message);
 void ReportChain(const std::string& rel, size_t line, const std::string& rule,
@@ -112,10 +95,6 @@ std::string ModuleOf(const std::string& rel);
 /// GNNDM_<PATH>_H_ with the leading src/ stripped, matching the existing
 /// style: src/common/status.h -> GNNDM_COMMON_STATUS_H_.
 std::string ExpectedGuard(const std::string& rel);
-
-/// The include-path a .cc's own header goes by ("core/trainer.h" for
-/// src/core/trainer.cc), or "" when there is none.
-std::string OwnHeaderPath(const SourceFile& f);
 
 SourceFile LoadFile(const std::filesystem::path& path,
                     const std::filesystem::path& root,

@@ -3,13 +3,13 @@
 # gnndm_jsonlint on every staged .json file. Wire it up with:
 #   ln -s ../../tools/pre_commit.sh .git/hooks/pre-commit
 #
-# The lint always analyzes the whole repo (the layering,
-# transitive-include, and interprocedural effect passes are graph
-# properties — a staged file can break a contract in an unstaged one),
-# but it only runs at all when a staged file could affect it. A commit
-# is rejected when it adds an unsuppressed finding — including the
-# call-graph contracts (parallel-context, hot-transitive-alloc) — or
-# leaves an orphan suppression (unused-suppression is itself a finding).
+# The lint always analyzes the whole repo (the layering pass and the
+# call-graph contracts are graph properties — a staged file can break a
+# contract in an unstaged one), but it only runs at all when a staged
+# file could affect it. A commit is rejected when it adds an unsuppressed
+# finding — including the call-graph contracts (parallel-context,
+# hot-path-alloc) — or leaves an orphan suppression (unused-suppression
+# is itself a finding).
 # GNNDM_BUILD_DIR overrides the build tree (default: ./build).
 set -euo pipefail
 
@@ -51,9 +51,9 @@ if [[ ${#cpp_staged[@]} -gt 0 ]]; then
   LINT="${BUILD_DIR}/tools/gnndm_lint"
   ensure_tool gnndm_lint "${LINT}" || exit 1
   if ! "${LINT}" "${REPO_ROOT}"; then
-    echo "pre_commit: gnndm_lint failed (mechanical findings: ${LINT} --fix .;" >&2
-    echo "  effect-contract findings print the call chain — fix the code or" >&2
-    echo "  add 'gnndm-lint: suppress(<rule>): <why>' at the flagged line)" >&2
+    echo "pre_commit: gnndm_lint failed (call-graph findings print the" >&2
+    echo "  chain — fix the code or add" >&2
+    echo "  'gnndm-lint: suppress(<rule>): <why>' at the flagged line)" >&2
     status=1
   fi
 fi
