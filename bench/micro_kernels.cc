@@ -7,7 +7,7 @@
 // the perf trajectory.
 //
 //   micro_kernels [--quick] [--threads=2,4,8] [--reps=N]
-//                 [--simd=auto|scalar|avx2|neon]
+//                 [--simd=auto|scalar|avx2|avx512|neon]
 //                 [--json=BENCH_kernels.json] [--no_json]
 //
 // The exit code is nonzero only when a parallel output differs from the

@@ -15,6 +15,15 @@ bool CpuHasAvx2Fma() {
 #endif
 }
 
+bool CpuHasAvx512() {
+#if defined(__x86_64__) || defined(__i386__)
+  return CpuHasAvx2Fma() && __builtin_cpu_supports("avx512f") &&
+         __builtin_cpu_supports("avx512vl");
+#else
+  return false;
+#endif
+}
+
 bool CpuHasNeon() {
 #if defined(__aarch64__)
   // ASIMD is mandatory in AArch64; no runtime probe needed.

@@ -17,6 +17,11 @@ namespace gnndm {
 /// compiler may emit either anywhere in that translation unit).
 bool CpuHasAvx2Fma();
 
+/// True when the CPU executes everything the AVX-512 kernel tier is
+/// compiled with: AVX-512F and AVX-512VL on top of AVX2 and FMA, with
+/// the OS saving the zmm state (which the compiler's probe checks).
+bool CpuHasAvx512();
+
 /// True when the CPU executes NEON/ASIMD. Always true on AArch64, where
 /// ASIMD is part of the base architecture; false elsewhere.
 bool CpuHasNeon();

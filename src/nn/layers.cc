@@ -1,6 +1,9 @@
 #include "nn/layers.h"
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
 
 #include "common/logging.h"
 #include "common/parallel_for.h"
@@ -149,21 +152,40 @@ void SageConv::Backward(const SampleLayer& layer, Tensor& d_out,
   MeanAggregateNeighborsBackward(layer, d_agg, *d_src);
 }
 
+namespace {
+
+/// v when keep is 1 and +0.0f when it is 0, selected without a branch:
+/// the mask keeps every bit of v or clears them all.
+inline float KeepOrZero(uint32_t keep, float v) {
+  return std::bit_cast<float>(std::bit_cast<uint32_t>(v) & (0u - keep));
+}
+
+}  // namespace
+
 void Dropout::Forward(Tensor& x, bool train, Rng& rng) {
   active_ = train && rate_ > 0.0;
   if (!active_) return;
-  mask_.resize(x.size());
+  const size_t n = x.size();
+  mask_.resize(n);
   const float scale = 1.0f / static_cast<float>(1.0 - rate_);
+  // UniformReal() < rate_ compares u * 2^-53 with rate_ for the integer
+  // u = Next() >> 11. Scaling by 2^53 is exact, so the element drops
+  // exactly when u < ceil(rate_ * 2^53): the same draws and decisions.
+  const uint64_t threshold =
+      rate_ >= 1.0 ? uint64_t{1} << 53
+                   : static_cast<uint64_t>(std::ceil(rate_ * 0x1.0p53));
+  // Draw from a local copy written back once. The byte stores into the
+  // mask may alias anything, so the caller's generator, the rate and
+  // the buffers would otherwise be reloaded and stored on every element.
+  Rng local = rng;
   float* p = x.data();
-  for (size_t i = 0; i < x.size(); ++i) {
-    if (rng.UniformReal() < rate_) {
-      mask_[i] = 0;
-      p[i] = 0.0f;
-    } else {
-      mask_[i] = 1;
-      p[i] *= scale;
-    }
+  uint8_t* mask = mask_.data();
+  for (size_t i = 0; i < n; ++i) {
+    const uint32_t keep = (local.Next() >> 11) >= threshold;
+    mask[i] = static_cast<uint8_t>(keep);
+    p[i] = KeepOrZero(keep, p[i] * scale);
   }
+  rng = local;
 }
 
 void Dropout::Backward(Tensor& d_x) const {
@@ -171,9 +193,9 @@ void Dropout::Backward(Tensor& d_x) const {
   GNNDM_CHECK(d_x.size() == mask_.size());
   const float scale = 1.0f / static_cast<float>(1.0 - rate_);
   float* p = d_x.data();
-  for (size_t i = 0; i < d_x.size(); ++i) {
-    p[i] = mask_[i] ? p[i] * scale : 0.0f;
-  }
+  const uint8_t* mask = mask_.data();
+  const size_t n = d_x.size();
+  for (size_t i = 0; i < n; ++i) p[i] = KeepOrZero(mask[i], p[i] * scale);
 }
 
 }  // namespace gnndm

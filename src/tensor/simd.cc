@@ -23,6 +23,11 @@ namespace simd_avx2 {
 const SimdKernels* GetKernels();
 }
 #endif
+#if defined(GNNDM_SIMD_BUILD_AVX512)
+namespace simd_avx512 {
+const SimdKernels* GetKernels();
+}
+#endif
 #if defined(GNNDM_SIMD_BUILD_NEON)
 namespace simd_neon {
 const SimdKernels* GetKernels();
@@ -43,6 +48,12 @@ const SimdKernels* TableFor(SimdTier tier) {
 #else
       return nullptr;
 #endif
+    case SimdTier::kAvx512:
+#if defined(GNNDM_SIMD_BUILD_AVX512)
+      return simd_avx512::GetKernels();
+#else
+      return nullptr;
+#endif
     case SimdTier::kNeon:
 #if defined(GNNDM_SIMD_BUILD_NEON)
       return simd_neon::GetKernels();
@@ -59,6 +70,8 @@ bool CpuSupports(SimdTier tier) {
       return true;
     case SimdTier::kAvx2:
       return CpuHasAvx2Fma();
+    case SimdTier::kAvx512:
+      return CpuHasAvx512();
     case SimdTier::kNeon:
       return CpuHasNeon();
   }
@@ -67,7 +80,7 @@ bool CpuSupports(SimdTier tier) {
 
 SimdTier ResolveAuto() {
   // Best compiled-in tier the CPU executes; scalar is always both.
-  for (SimdTier t : {SimdTier::kAvx2, SimdTier::kNeon}) {
+  for (SimdTier t : {SimdTier::kAvx512, SimdTier::kAvx2, SimdTier::kNeon}) {
     if (TableFor(t) != nullptr && CpuSupports(t)) return t;
   }
   return SimdTier::kScalar;
@@ -108,6 +121,8 @@ const char* SimdTierName(SimdTier tier) {
       return "scalar";
     case SimdTier::kAvx2:
       return "avx2";
+    case SimdTier::kAvx512:
+      return "avx512";
     case SimdTier::kNeon:
       return "neon";
   }
@@ -117,7 +132,7 @@ const char* SimdTierName(SimdTier tier) {
 const std::vector<SimdTier>& CompiledSimdTiers() {
   static const std::vector<SimdTier> kTiers = [] {
     std::vector<SimdTier> tiers = {SimdTier::kScalar};
-    for (SimdTier t : {SimdTier::kAvx2, SimdTier::kNeon}) {
+    for (SimdTier t : {SimdTier::kAvx2, SimdTier::kAvx512, SimdTier::kNeon}) {
       if (TableFor(t) != nullptr) tiers.push_back(t);
     }
     return tiers;
@@ -164,12 +179,13 @@ Status SetSimdTierByName(const std::string& name) {
     Activate(ResolveAuto());
     return Status::Ok();
   }
-  for (SimdTier t : {SimdTier::kScalar, SimdTier::kAvx2, SimdTier::kNeon}) {
+  for (SimdTier t : {SimdTier::kScalar, SimdTier::kAvx2, SimdTier::kAvx512,
+                     SimdTier::kNeon}) {
     if (name == SimdTierName(t)) return SetSimdTier(t);
   }
   return Status::InvalidArgument(
       "unknown SIMD tier '" + name +
-      "'; expected auto, scalar, avx2, or neon");
+      "'; expected auto, scalar, avx2, avx512, or neon");
 }
 
 }  // namespace gnndm

@@ -14,17 +14,18 @@ namespace gnndm {
 ///
 /// Every hot float kernel in the repo bottoms out in one of the function
 /// pointers below. The pointers are filled per ISA tier — scalar
-/// (always), AVX2+FMA (x86-64), NEON (AArch64) — from a single kernel
-/// source (simd_kernels.inc) written against a fixed *8-wide virtual
-/// lane* vector type. The scalar tier executes the identical lane
-/// semantics with a float[8], so every tier produces byte-identical
-/// outputs by construction:
+/// (always), AVX2+FMA and AVX-512 (x86-64), NEON (AArch64) — from a
+/// single kernel source (simd_kernels.inc) written against a fixed
+/// *8-wide virtual lane* vector type. The scalar tier executes the
+/// identical lane semantics with a float[8], so every tier produces
+/// byte-identical outputs by construction:
 ///
 ///  - elementwise ops and the j-vectorized GEMM tiles touch each output
 ///    element with exactly the same sequence of individually-rounded
 ///    mul/add operations at every width (vectorization only changes
 ///    which *elements* are in flight together, never the per-element
-///    order);
+///    order — AVX-512's 16-float registers carry two virtual lanes each
+///    in the GEMM tiles and nowhere else);
 ///  - horizontal reductions (`dot`) accumulate element i into virtual
 ///    lane i%8 in ascending order, collapse the 8 lanes through the
 ///    canonical tree ((l0+l1)+(l2+l3)) + ((l4+l5)+(l6+l7)), then add
@@ -35,15 +36,18 @@ namespace gnndm {
 ///    repo-wide so scalar code cannot silently fuse either).
 ///
 /// The active tier is resolved once, on first use: the GNNDM_SIMD
-/// environment variable ("auto", "scalar", "avx2", "neon") seeds the
-/// choice, `--simd=` on the CLIs overrides it via SetSimdTierByName, and
-/// "auto" picks the best tier this binary was compiled with that the
-/// CPU actually executes (common/cpu_features.h).
+/// environment variable ("auto", "scalar", "avx2", "avx512", "neon")
+/// seeds the choice, `--simd=` on the CLIs overrides it via
+/// SetSimdTierByName, and "auto" picks the best tier this binary was
+/// compiled with that the CPU actually executes (common/cpu_features.h):
+/// avx512, then avx2, then neon, then scalar.
 
 enum class SimdTier : uint8_t {
   kScalar = 0,  // portable float[8] virtual lanes; always compiled in
   kAvx2 = 1,    // AVX2+FMA TU (-mavx2 -mfma); x86-64 builds only
   kNeon = 2,    // NEON/ASIMD TU; AArch64 builds only
+  kAvx512 = 3,  // AVX-512F/VL TU (AVX2 flags plus -mavx512f -mavx512vl);
+                // x86-64 builds only
 };
 
 /// Lane width of the virtual vector every tier implements. Part of the
@@ -106,7 +110,7 @@ struct SimdKernels {
                            size_t k, size_t n, float* bt);
 };
 
-/// Name of a tier ("scalar", "avx2", "neon").
+/// Name of a tier ("scalar", "avx2", "avx512", "neon").
 const char* SimdTierName(SimdTier tier);
 
 /// The tiers this binary was compiled with, scalar first. A tier being
@@ -126,8 +130,9 @@ SimdTier ActiveSimdTier();
 /// startup or between test cases, like SetComputeThreads.
 Status SetSimdTier(SimdTier tier);
 
-/// Parses "auto" / "scalar" / "avx2" / "neon" and forces that tier
-/// ("auto" re-resolves the best supported one). Backs the --simd flag.
+/// Parses "auto" / "scalar" / "avx2" / "avx512" / "neon" and forces that
+/// tier ("auto" re-resolves the best supported one). Backs the --simd
+/// flag.
 Status SetSimdTierByName(const std::string& name);
 
 }  // namespace gnndm

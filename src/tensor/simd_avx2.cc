@@ -1,9 +1,7 @@
-// AVX2 tier: one __m256 is the whole 8-wide virtual lane. Compiled with
-// -mavx2 -mfma (see src/tensor/CMakeLists.txt) and only ever entered
-// after cpuid confirms both — but the kernels deliberately use separate
-// mul/add, never fma: the scalar tier's two-rounding semantics define
-// the bits, and -ffp-contract=off keeps the compiler from contracting
-// the scalar tail loops in this TU either.
+// AVX2 tier: one __m256 is the whole 8-wide virtual lane
+// (simd_avx2_lanes.inc). Compiled with -mavx2 -mfma (see
+// src/tensor/CMakeLists.txt) and only ever entered after cpuid confirms
+// both.
 #if defined(__x86_64__) || defined(__i386__)
 
 #include <immintrin.h>
@@ -17,36 +15,7 @@
 namespace gnndm {
 namespace simd_avx2 {
 
-struct VF {
-  __m256 v;
-};
-
-inline VF VLoad(const float* p) { return {_mm256_loadu_ps(p)}; }
-
-inline void VStore(float* p, VF a) { _mm256_storeu_ps(p, a.v); }
-
-inline VF VSplat(float x) { return {_mm256_set1_ps(x)}; }
-
-inline VF VZero() { return {_mm256_setzero_ps()}; }
-
-inline VF VAdd(VF a, VF b) { return {_mm256_add_ps(a.v, b.v)}; }
-
-inline VF VMul(VF a, VF b) { return {_mm256_mul_ps(a.v, b.v)}; }
-
-/// Two roundings by contract — intrinsics are never contracted to fma.
-inline VF VMulAcc(VF acc, VF a, VF b) { return VAdd(acc, VMul(a, b)); }
-
-/// vmaxps(0, x): returns the second operand when either is NaN or both
-/// are zeros — exactly the scalar `(0 > x) ? 0 : x` ternary.
-inline VF VRelu(VF x) { return {_mm256_max_ps(_mm256_setzero_ps(), x.v)}; }
-
-/// (act > 0) ? g : 0 via an ordered compare mask and a bitwise AND: the
-/// all-ones mask preserves g's bits exactly; NaN act compares false.
-inline VF VMaskGtZero(VF act, VF g) {
-  const __m256 mask =
-      _mm256_cmp_ps(act.v, _mm256_setzero_ps(), _CMP_GT_OQ);
-  return {_mm256_and_ps(g.v, mask)};
-}
+#include "tensor/simd_avx2_lanes.inc"
 
 #define GNNDM_SIMD_TIER_STRING "avx2"
 #include "tensor/simd_kernels.inc"

@@ -16,3 +16,18 @@ long Draw(const SimClock& sim) {
 }
 
 }  // namespace gnndm
+
+// Declaring, defining or qualifying a function of one of those names
+// calls nothing of libc's.
+namespace gnndm {
+
+struct SimClock {
+  double time() const;  // expect: clean
+  static long clock();  // expect: clean
+};
+
+double SimClock::time() const { return 0.0; }  // expect: clean
+unsigned rand(unsigned seed);                  // expect: clean
+long Ticks() { return SimClock::clock(); }     // expect: clean
+
+}  // namespace gnndm

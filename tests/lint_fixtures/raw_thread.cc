@@ -11,3 +11,15 @@ void RunDetached(void (*fn)()) {
 }
 
 }  // namespace gnndm
+
+// Naming the thread id type or asking for the core count starts no
+// thread.
+namespace gnndm {
+
+unsigned Cores() {
+  return std::thread::hardware_concurrency();  // expect: clean
+}
+
+std::thread::id Owner();  // expect: clean
+
+}  // namespace gnndm

@@ -2,8 +2,10 @@
 # End-to-end check of the BatchSource determinism contract: gnndm_train
 # must print byte-identical output whether batches are prepared inline
 # (--loader-workers=0) or by 1/4/8 producer workers at prefetch depths 1
-# and 16, single-worker and distributed (--workers=4) alike. Run by ctest
-# as `loader_cli_identity`.
+# and 16, single-worker and distributed (--workers=4) alike. The same
+# holds across SIMD tiers: a scalar run and an auto run print the same
+# training lines and save the same checkpoint bytes. Run by ctest as
+# `loader_cli_identity`.
 set -euo pipefail
 
 TRAIN_BIN="${1:?usage: loader_identity.sh <path-to-gnndm_train>}"
@@ -35,6 +37,13 @@ run dist_w2_d1 --workers=4 --loader-workers=2 --queue-depth=1
 run dist_w2_d8 --workers=4 --loader-workers=2 --queue-depth=8
 run dist_w2_t4 --workers=4 --loader-workers=2 --queue-depth=8 --threads=4
 
+# SIMD tiers: --hidden=48 GraphSAGE GEMMs reach the widest register
+# block (32 columns) and its 16-column edge, which --hidden=16 never does.
+run sage_scalar --model=graphsage --hidden=48 --simd=scalar \
+  --save="${WORKDIR}/sage_scalar.gnck"
+run sage_auto --model=graphsage --hidden=48 \
+  --save="${WORKDIR}/sage_auto.gnck"
+
 status=0
 compare() {
   local baseline="$1" variant="$2"
@@ -63,8 +72,13 @@ done
 for variant in dist_w0_d1 dist_w0_d8 dist_w2_d1 dist_w2_d8 dist_w2_t4; do
   compare dist_baseline "${variant}"
 done
+compare sage_scalar sage_auto
+if ! cmp "${WORKDIR}/sage_scalar.gnck" "${WORKDIR}/sage_auto.gnck"; then
+  echo "FAIL: --simd=auto checkpoint differs from --simd=scalar" >&2
+  status=1
+fi
 
 if [[ ${status} -eq 0 ]]; then
-  echo "PASS: training output byte-identical across loader configurations"
+  echo "PASS: training output byte-identical across loader configurations and SIMD tiers"
 fi
 exit ${status}

@@ -3,6 +3,8 @@
 #include <cmath>
 #include <cstring>
 #include <functional>
+#include <iterator>
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
@@ -494,6 +496,85 @@ TEST(LayersTest, DropoutMaskScalesAndZeroes) {
   }
   EXPECT_GT(zeros, 20);
   EXPECT_GT(scaled, 20);
+}
+
+/// The dropout loop the layer replaced, kept as its reference: one
+/// UniformReal() per element and a branch on the draw.
+void ReferenceDropoutForward(double rate, Tensor& x, Rng& rng,
+                             std::vector<uint8_t>& mask) {
+  mask.resize(x.size());
+  const float scale = 1.0f / static_cast<float>(1.0 - rate);
+  float* p = x.data();
+  for (size_t i = 0; i < x.size(); ++i) {
+    if (rng.UniformReal() < rate) {
+      mask[i] = 0;
+      p[i] = 0.0f;
+    } else {
+      mask[i] = 1;
+      p[i] *= scale;
+    }
+  }
+}
+
+void ReferenceDropoutBackward(double rate, const std::vector<uint8_t>& mask,
+                              Tensor& d_x) {
+  const float scale = 1.0f / static_cast<float>(1.0 - rate);
+  float* p = d_x.data();
+  for (size_t i = 0; i < d_x.size(); ++i) {
+    p[i] = mask[i] ? p[i] * scale : 0.0f;
+  }
+}
+
+/// Random values with signed zeros, NaN, infinities and subnormals
+/// mixed in.
+Tensor DropoutInput(size_t rows, size_t cols, uint64_t seed) {
+  Tensor t(rows, cols);
+  Rng rng(seed);
+  for (size_t i = 0; i < t.size(); ++i) {
+    t.data()[i] = static_cast<float>(rng.UniformReal() * 4.0 - 2.0);
+  }
+  const float specials[] = {-0.0f,
+                            0.0f,
+                            std::numeric_limits<float>::quiet_NaN(),
+                            std::numeric_limits<float>::infinity(),
+                            -std::numeric_limits<float>::infinity(),
+                            std::numeric_limits<float>::denorm_min(),
+                            -1.0e-40f};
+  for (size_t i = 0; i < t.size(); i += 3) {
+    t.data()[i] = specials[(i / 3) % std::size(specials)];
+  }
+  return t;
+}
+
+TEST(LayersTest, DropoutMatchesReferenceLoop) {
+  const double rates[] = {0.1, 0.5, 1.0 / 3.0, 0x1.0p-53,
+                          std::nextafter(1.0, 0.0)};
+  for (double rate : rates) {
+    SCOPED_TRACE(rate);
+    Tensor x = DropoutInput(37, 129, 11), want_x = x;
+    Rng rng(42), want_rng(42);
+    Dropout dropout(rate);
+    dropout.Forward(x, /*train=*/true, rng);
+    std::vector<uint8_t> want_mask;
+    ReferenceDropoutForward(rate, want_x, want_rng, want_mask);
+    ExpectSameBytes({x}, {want_x});
+    EXPECT_EQ(rng.Next(), want_rng.Next());
+
+    // Backward through a gradient of ones exposes the mask itself.
+    Tensor ones(37, 129);
+    ones.Fill(1.0f);
+    dropout.Backward(ones);
+    std::vector<uint8_t> mask(ones.size());
+    for (size_t i = 0; i < ones.size(); ++i) {
+      mask[i] = ones.data()[i] != 0.0f;
+    }
+    EXPECT_EQ(mask, want_mask);
+
+    Tensor d_x = DropoutInput(37, 129, 12), want_d_x = d_x;
+    dropout.Backward(d_x);
+    ReferenceDropoutBackward(rate, want_mask, want_d_x);
+    ExpectSameBytes({d_x}, {want_d_x});
+  }
 }
 
 TEST(LayersTest, DropoutInactiveAtEval) {

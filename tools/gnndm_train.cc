@@ -132,7 +132,8 @@ int Main(int argc, char** argv) {
         "  --threads=N   compute threads for the parallel kernels\n"
         "                (0 = GNNDM_THREADS env or hardware default;\n"
         "                 results are byte-identical at any value)\n"
-        "  --simd=auto|scalar|avx2|neon  kernel instruction-set tier\n"
+        "  --simd=auto|scalar|avx2|avx512|neon  kernel instruction-set "
+        "tier\n"
         "                (auto = best supported, or GNNDM_SIMD env;\n"
         "                 results are byte-identical on every tier)\n"
         "  --trace-out=FILE.json    Chrome trace (chrome://tracing or\n"

@@ -24,10 +24,16 @@ void CheckIncludeGuard(const SourceFile& f) {
 // ThreadPool. Tests may spawn raw threads to provoke races.
 const std::set<std::string> kThreadAllowlist = {
     "src/common/thread_pool.h", "src/common/thread_pool.cc",
-    // hardware_concurrency() only; all shared state is annotated.
-    "src/common/parallel_for.cc",
     "src/core/batch_source.h", "src/core/batch_source.cc",
 };
+
+/// std::thread::id and std::thread::hardware_concurrency() name the class
+/// without starting a thread.
+bool NamesThreadMember(const std::vector<const Token*>& toks, size_t i) {
+  return i + 4 < toks.size() && IsPunct(toks[i + 3], "::") &&
+         (IsIdent(toks[i + 4], "id") ||
+          IsIdent(toks[i + 4], "hardware_concurrency"));
+}
 
 void CheckConcurrencyPrimitives(const SourceFile& f,
                                 const std::vector<const Token*>& toks) {
@@ -57,7 +63,8 @@ void CheckConcurrencyPrimitives(const SourceFile& f,
                    "common/annotations.h");
       }
     }
-    if (!thread_allowed && IsStdQualified(toks, i, "thread")) {
+    if (!thread_allowed && IsStdQualified(toks, i, "thread") &&
+        !NamesThreadMember(toks, i)) {
       Report(f, toks[i]->line, "raw-thread",
              "std::thread outside the audited concurrency surfaces; "
              "use ThreadPool or add the file to the lint allowlist "
@@ -216,6 +223,26 @@ void CheckUnorderedIteration(const SourceFile& f,
   }
 }
 
+/// True when toks[i] names some other function than libc's: it follows
+/// `.` or `->` (foo.time() is not ::time()), a qualifier other than std
+/// (`SimClock::time()`), or a type (`double time() const` declares one).
+bool NamesOtherFunction(const std::vector<const Token*>& toks, size_t i) {
+  if (i == 0) return false;
+  const Token* prev = toks[i - 1];
+  if (IsPunct(prev, ".") || IsPunct(prev, "->")) return true;
+  if (IsPunct(prev, "::")) {
+    return i >= 2 && toks[i - 2]->kind == TokKind::kIdent &&
+           !IsIdent(toks[i - 2], "std");
+  }
+  // Keywords after which an expression, and so a call, can start.
+  static const std::set<std::string> kExpressionKeywords = {
+      "return",   "else",     "do",     "case", "throw", "co_return",
+      "co_yield", "co_await", "sizeof", "not",  "and",   "or",
+  };
+  return prev->kind == TokKind::kIdent &&
+         kExpressionKeywords.count(prev->text) == 0;
+}
+
 /// Determinism rule: every random draw flows from a seeded gnndm::Rng.
 /// rand()/srand()/clock()/time() and std::random_device are either
 /// schedule-, wall-clock-, or entropy-dependent; a single call anywhere
@@ -235,9 +262,7 @@ void CheckRawRng(const SourceFile& f, const std::vector<const Token*>& toks) {
     const bool call_like =
         i + 1 < toks.size() && IsPunct(toks[i + 1], "(");
     if (!call_like) continue;
-    const bool member = i > 0 && (IsPunct(toks[i - 1], ".") ||
-                                  IsPunct(toks[i - 1], "->"));
-    if (member) continue;  // foo.time() is not ::time()
+    if (NamesOtherFunction(toks, i)) continue;
     if (IsIdent(t, "rand") || IsIdent(t, "srand") || IsIdent(t, "time") ||
         IsIdent(t, "clock")) {
       Report(f, t->line, "raw-rng",
@@ -313,8 +338,8 @@ void CheckSimdIsolation(const SourceFile& f,
                t->text == "__builtin_cpu_init") {
       Report(f, t->line, "simd-isolation",
              "CPU feature probing outside src/common/cpu_features.*: use "
-             "CpuHasAvx2Fma()/CpuHasNeon() so tier selection has one "
-             "truth");
+             "CpuHasAvx2Fma()/CpuHasAvx512()/CpuHasNeon() so tier "
+             "selection has one truth");
     }
   }
 
