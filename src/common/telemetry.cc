@@ -15,9 +15,7 @@ namespace telemetry {
 
 namespace {
 
-#if !defined(GNNDM_TELEMETRY_DISABLED)
 std::atomic<bool> g_enabled{true};
-#endif
 
 /// Round-robin per-thread shard assignment: the first call from a thread
 /// claims the next slot, so up to kShards concurrent threads never share a
@@ -31,12 +29,10 @@ uint32_t ThreadShard() {
 
 }  // namespace
 
-#if !defined(GNNDM_TELEMETRY_DISABLED)
 bool Enabled() { return g_enabled.load(std::memory_order_relaxed); }
 void SetEnabled(bool enabled) {
   g_enabled.store(enabled, std::memory_order_relaxed);
 }
-#endif
 
 // --- AtomicDouble ----------------------------------------------------------
 

@@ -37,24 +37,18 @@ namespace telemetry {
 ///
 /// Determinism contract: telemetry only *observes*. It never touches an
 /// RNG stream, reorders work, or feeds values back into computation, so
-/// training output is byte-identical with telemetry enabled, disabled, or
-/// compiled out, at any thread count.
+/// training output is byte-identical with telemetry enabled or disabled,
+/// at any thread count.
 ///
-/// Disabled path: when `SetEnabled(false)` has been called (or the build
-/// defines GNNDM_TELEMETRY_DISABLED, which folds Enabled() to a constant
-/// false), every instrument reduces to one relaxed load and a branch, and
-/// performs no allocation — asserted by telemetry_test.
+/// Disabled path: when `SetEnabled(false)` has been called, every
+/// instrument reduces to one relaxed load and a branch, and performs no
+/// allocation — asserted by telemetry_test.
 
-#if defined(GNNDM_TELEMETRY_DISABLED)
-constexpr bool Enabled() { return false; }
-inline void SetEnabled(bool) {}
-#else
 /// True unless telemetry has been switched off. Relaxed read; safe from
 /// any thread.
 bool Enabled();
 /// Flips the process-wide telemetry switch (default: on).
 void SetEnabled(bool enabled);
-#endif
 
 /// Nanoseconds on the steady clock: the one clock behind every wall span,
 /// flight-recorder event and trace counter sample.

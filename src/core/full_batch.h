@@ -44,6 +44,7 @@ class FullBatchTrainer {
   /// the entire graph — the full-batch scalability bottleneck.
   uint64_t PeakMemoryBytes() const;
 
+  GnnModel& model() { return *model_; }
   const ConvergenceTracker& tracker() const { return tracker_; }
   double total_virtual_seconds() const { return total_seconds_; }
 

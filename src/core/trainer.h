@@ -126,6 +126,8 @@ class TrainerBase {
   ClassificationMetrics EvaluateDetailed(
       const std::vector<VertexId>& vertices);
 
+  /// The model being trained: what a checkpoint saves and restores.
+  GnnModel& model() { return *model_; }
   const ConvergenceTracker& tracker() const { return tracker_; }
   /// Per-epoch stall attribution, one entry per TrainEpoch call in order
   /// (feeds the --report table and the steady-state verdict).
@@ -195,7 +197,6 @@ class Trainer : public TrainerBase {
   const ConvergenceTracker& TrainToConvergence(uint32_t max_epochs,
                                                uint32_t patience = 10);
 
-  GnnModel& model() { return *model_; }
   uint32_t epochs_run() const { return epoch_; }
 
   /// Per-degree-class accuracy (Table 7): evaluates `vertices` split at

@@ -188,7 +188,6 @@ TEST_F(AttributionTrainerTest, ReconcilesBitExactWithAsyncLoader) {
 // the per-batch queue_wait_seconds that attribution aggregates.
 TEST_F(AttributionTrainerTest, WaitAccountingReconcilesAcrossSources) {
   telemetry::SetEnabled(true);
-  if (!telemetry::Enabled()) GTEST_SKIP() << "telemetry compiled out";
   namespace names = telemetry_names;
   for (size_t workers : {size_t{0}, size_t{1}, size_t{4}}) {
     SCOPED_TRACE("loader_workers=" + std::to_string(workers));
@@ -237,7 +236,6 @@ TEST_F(AttributionTrainerTest, WaitAccountingReconcilesAcrossSources) {
 // verdict can split into sample- vs gather-bound.
 TEST_F(AttributionTrainerTest, DistributedEpochObservesSampleAndGatherWall) {
   telemetry::SetEnabled(true);
-  if (!telemetry::Enabled()) GTEST_SKIP() << "telemetry compiled out";
   PartitionResult partition =
       HashPartitioner().Partition({dataset_.graph, dataset_.split}, 4, 1);
   DistTrainer trainer(dataset_, partition, SmallConfig());
@@ -256,7 +254,6 @@ TEST_F(AttributionTrainerTest, DistributedEpochObservesSampleAndGatherWall) {
 // an optimizer span; the others keep 0.
 TEST_F(AttributionTrainerTest, WallFieldsAreTheirSpansDurations) {
   telemetry::SetEnabled(true);
-  if (!telemetry::Enabled()) GTEST_SKIP() << "telemetry compiled out";
   telemetry::Tracer& tracer = telemetry::Tracer::Get();
   const auto expect_spans_match =
       [&tracer](const std::vector<BatchAttribution>& records,
@@ -350,7 +347,6 @@ TEST_F(AttributionTrainerTest, WallFieldsStayZeroWithTelemetryOff) {
 
 TEST_F(AttributionTrainerTest, PublishesVerdictAndShareGauges) {
   telemetry::SetEnabled(true);
-  if (!telemetry::Enabled()) GTEST_SKIP() << "telemetry compiled out";
   namespace names = telemetry_names;
   Trainer trainer(dataset_, SmallConfig());
   EpochStats stats = trainer.TrainEpoch();

@@ -14,8 +14,8 @@ shopt -s nullglob
 # Top-level fixtures exercise the per-file rules with minimal cases;
 # history/ holds real findings reduced from the parent of the commit that
 # fixed them (each header cites it); effects/ holds the call-graph /
-# effect-analysis corpus (overload sets, FunctionRef lambdas, function
-# pointers, virtual overrides, recursive cycles, ParallelFor bodies);
+# effect-analysis corpus (overload sets, FunctionRef lambdas, virtual
+# overrides, recursive cycles, ParallelFor bodies);
 # src/<m>/ fixtures are linted as src/<m>/<name>, for module-scoped rules.
 fixtures=("${FIXTURE_DIR}"/*.cc "${FIXTURE_DIR}"/*.h "${FIXTURE_DIR}"/effects/*.cc
           "${FIXTURE_DIR}"/history/*.cc "${FIXTURE_DIR}"/src/*/*.cc)

@@ -1,11 +1,12 @@
 #!/usr/bin/env bash
 # End-to-end check of the BatchSource determinism contract: gnndm_train
-# must print byte-identical output whether batches are prepared inline
+# must train the same model whether batches are prepared inline
 # (--loader-workers=0) or by 1/4/8 producer workers at prefetch depths 1
-# and 16, single-worker and distributed (--workers=4) alike. The same
-# holds across SIMD tiers: a scalar run and an auto run print the same
-# training lines and save the same checkpoint bytes. Run by ctest as
-# `loader_cli_identity`.
+# and 16, at any compute-thread count and with telemetry on or off,
+# single-worker and distributed (--workers=4) alike. The same holds
+# across SIMD tiers: a scalar run and an auto run. Every run saves its
+# checkpoint, which must be byte-identical (cmp) to its baseline's, and
+# prints the same training lines. Run by ctest as `loader_cli_identity`.
 set -euo pipefail
 
 TRAIN_BIN="${1:?usage: loader_identity.sh <path-to-gnndm_train>}"
@@ -15,10 +16,12 @@ trap 'rm -rf "${WORKDIR}"' EXIT
 COMMON_ARGS=(--dataset=arxiv_s --epochs=2 --batch_size=256 --fanouts=5,5
              --hidden=16 --seed=7)
 
+# Trains one configuration and saves its checkpoint as <name>.gnck.
 run() {
   local name="$1"
   shift
-  "${TRAIN_BIN}" "${COMMON_ARGS[@]}" "$@" > "${WORKDIR}/${name}.out"
+  "${TRAIN_BIN}" "${COMMON_ARGS[@]}" "$@" --save="${WORKDIR}/${name}.gnck" \
+    > "${WORKDIR}/${name}.out"
 }
 
 run baseline --loader-workers=0
@@ -28,6 +31,8 @@ run w4_d16 --loader-workers=4 --queue-depth=16
 run w8_d16 --loader-workers=8 --queue-depth=16
 # Compute-thread count composes with loader workers without changing a bit.
 run w4_t4 --loader-workers=4 --queue-depth=8 --threads=4
+# Telemetry only observes.
+run w2_notelemetry --loader-workers=2 --telemetry=0
 
 # Distributed: every simulated worker's batches come from the same plane.
 run dist_baseline --workers=4 --loader-workers=0
@@ -36,19 +41,18 @@ run dist_w0_d8 --workers=4 --loader-workers=0 --queue-depth=8
 run dist_w2_d1 --workers=4 --loader-workers=2 --queue-depth=1
 run dist_w2_d8 --workers=4 --loader-workers=2 --queue-depth=8
 run dist_w2_t4 --workers=4 --loader-workers=2 --queue-depth=8 --threads=4
+run dist_w2_notelemetry --workers=4 --loader-workers=2 --telemetry=0
 
 # SIMD tiers: --hidden=48 GraphSAGE GEMMs reach the widest register
 # block (32 columns) and its 16-column edge, which --hidden=16 never does.
-run sage_scalar --model=graphsage --hidden=48 --simd=scalar \
-  --save="${WORKDIR}/sage_scalar.gnck"
-run sage_auto --model=graphsage --hidden=48 \
-  --save="${WORKDIR}/sage_auto.gnck"
+run sage_scalar --model=graphsage --hidden=48 --simd=scalar
+run sage_auto --model=graphsage --hidden=48
 
 status=0
 compare() {
   local baseline="$1" variant="$2"
   # Only the training lines: the partitioner line carries wall-clock
-  # partition_time, which differs run to run.
+  # partition_time, and the checkpoint line its path.
   grep -E '^(epoch|test accuracy)' "${WORKDIR}/${baseline}.out" \
     > "${WORKDIR}/${baseline}.core"
   grep -E '^(epoch|test accuracy)' "${WORKDIR}/${variant}.out" \
@@ -61,24 +65,22 @@ compare() {
     echo "FAIL: ${variant} output differs from ${baseline}" >&2
     status=1
   fi
-}
-
-for variant in w1_d1 w4_d1 w4_d16 w8_d16 w4_t4; do
-  if ! diff -u "${WORKDIR}/baseline.out" "${WORKDIR}/${variant}.out"; then
-    echo "FAIL: ${variant} output differs from inline baseline" >&2
+  if ! cmp "${WORKDIR}/${baseline}.gnck" "${WORKDIR}/${variant}.gnck"; then
+    echo "FAIL: ${variant} checkpoint differs from ${baseline}'s" >&2
     status=1
   fi
+}
+
+for variant in w1_d1 w4_d1 w4_d16 w8_d16 w4_t4 w2_notelemetry; do
+  compare baseline "${variant}"
 done
-for variant in dist_w0_d1 dist_w0_d8 dist_w2_d1 dist_w2_d8 dist_w2_t4; do
+for variant in dist_w0_d1 dist_w0_d8 dist_w2_d1 dist_w2_d8 dist_w2_t4 \
+               dist_w2_notelemetry; do
   compare dist_baseline "${variant}"
 done
 compare sage_scalar sage_auto
-if ! cmp "${WORKDIR}/sage_scalar.gnck" "${WORKDIR}/sage_auto.gnck"; then
-  echo "FAIL: --simd=auto checkpoint differs from --simd=scalar" >&2
-  status=1
-fi
 
 if [[ ${status} -eq 0 ]]; then
-  echo "PASS: training output byte-identical across loader configurations and SIMD tiers"
+  echo "PASS: checkpoints and training output byte-identical across loader configurations, telemetry and SIMD tiers"
 fi
 exit ${status}

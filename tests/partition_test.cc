@@ -170,7 +170,6 @@ TEST(MetisPartitionerTest, SinglePartIsTrivial) {
 // 2-hop matching each level about halves it.
 TEST(MetisPartitionerTest, CoarsensPowerLawGraphToTarget) {
   telemetry::SetEnabled(true);
-  if (!telemetry::Enabled()) GTEST_SKIP() << "telemetry compiled out";
   telemetry::Gauge& levels =
       telemetry::GetGauge(telemetry_names::kPartitionCoarsenLevels);
   telemetry::Gauge& coarsest =

@@ -361,8 +361,8 @@ TEST(TracerTest, WriteChromeTraceRoundTrips) {
   EXPECT_NE(buffer.str().find("test.write.span"), std::string::npos);
 }
 
-// A run that records no event (telemetry off, or compiled out) still
-// writes its trace: the metadata records alone must form valid JSON.
+// A run that records no event (telemetry off) still writes its trace:
+// the metadata records alone must form valid JSON.
 TEST(TracerTest, EmptyTraceIsWellFormed) {
   Tracer& tracer = Tracer::Get();
   tracer.Start();

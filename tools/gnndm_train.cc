@@ -237,22 +237,48 @@ int Main(int argc, char** argv) {
               dataset->num_classes, dataset->split.train.size());
 
   // --- Train ---
+  // --load restores the model before `run` trains and reports, and
+  // --save writes it after, whichever trainer runs.
+  const auto checkpointed = [&](GnnModel& model, auto&& run) -> int {
+    if (flags.Has("load")) {
+      Status status = LoadCheckpoint(model, flags.GetString("load", ""));
+      if (!status.ok()) {
+        std::fprintf(stderr, "error: %s\n", status.ToString().c_str());
+        return 1;
+      }
+      std::printf("restored checkpoint\n");
+    }
+    run();
+    if (flags.Has("save")) {
+      Status status = SaveCheckpoint(model, flags.GetString("save", ""));
+      if (!status.ok()) {
+        std::fprintf(stderr, "error: %s\n", status.ToString().c_str());
+        return 1;
+      }
+      std::printf("checkpoint written to %s\n",
+                  flags.GetString("save", "").c_str());
+    }
+    return 0;
+  };
+  int rc = 0;
   if (flags.GetBool("full_batch", false)) {
     FullBatchTrainer trainer(*dataset, config);
-    for (uint32_t e = 0; e < epochs; ++e) {
-      EpochStats stats = trainer.TrainEpoch();
-      std::printf("epoch %3u  loss %.4f  val %.3f  %.4fs\n", e,
-                  stats.train_loss, trainer.Evaluate(dataset->split.val),
-                  stats.epoch_seconds);
-    }
-    std::printf("test accuracy %.3f  peak device memory %.1f MB\n",
-                trainer.Evaluate(dataset->split.test),
-                trainer.PeakMemoryBytes() / 1e6);
-    if (flags.GetBool("report", false)) {
-      std::printf(
-          "(--report: full-batch mode has no per-batch pipeline, no stall "
-          "attribution)\n");
-    }
+    rc = checkpointed(trainer.model(), [&] {
+      for (uint32_t e = 0; e < epochs; ++e) {
+        EpochStats stats = trainer.TrainEpoch();
+        std::printf("epoch %3u  loss %.4f  val %.3f  %.4fs\n", e,
+                    stats.train_loss, trainer.Evaluate(dataset->split.val),
+                    stats.epoch_seconds);
+      }
+      std::printf("test accuracy %.3f  peak device memory %.1f MB\n",
+                  trainer.Evaluate(dataset->split.test),
+                  trainer.PeakMemoryBytes() / 1e6);
+      if (flags.GetBool("report", false)) {
+        std::printf(
+            "(--report: full-batch mode has no per-batch pipeline, no stall "
+            "attribution)\n");
+      }
+    });
   } else if (workers > 1) {
     auto partitioner =
         MakePartitioner(flags.GetString("partitioner", "metis-vet"));
@@ -268,62 +294,48 @@ int Main(int argc, char** argv) {
                     partition.EdgeCut(dataset->graph)),
                 partition.seconds);
     DistTrainer trainer(*dataset, partition, config);
-    for (uint32_t e = 0; e < epochs; ++e) {
-      DistEpochStats stats = trainer.TrainEpoch();
-      std::printf("epoch %3u  loss %.4f  val %.3f  %.4fs\n", e,
-                  stats.train_loss, trainer.Evaluate(dataset->split.val),
-                  stats.epoch_seconds);
-    }
-    std::printf("test accuracy %.3f\n",
-                trainer.Evaluate(dataset->split.test));
-    if (flags.GetBool("report", false)) {
-      PrintAttributionReport(trainer.attribution_history());
-    }
+    rc = checkpointed(trainer.model(), [&] {
+      for (uint32_t e = 0; e < epochs; ++e) {
+        DistEpochStats stats = trainer.TrainEpoch();
+        std::printf("epoch %3u  loss %.4f  val %.3f  %.4fs\n", e,
+                    stats.train_loss, trainer.Evaluate(dataset->split.val),
+                    stats.epoch_seconds);
+      }
+      std::printf("test accuracy %.3f\n",
+                  trainer.Evaluate(dataset->split.test));
+      if (flags.GetBool("report", false)) {
+        PrintAttributionReport(trainer.attribution_history());
+      }
+    });
   } else {
     Trainer trainer(*dataset, config);
-    if (flags.Has("load")) {
-      Status status =
-          LoadCheckpoint(trainer.model(), flags.GetString("load", ""));
-      if (!status.ok()) {
-        std::fprintf(stderr, "error: %s\n", status.ToString().c_str());
-        return 1;
+    rc = checkpointed(trainer.model(), [&] {
+      for (uint32_t e = 0; e < epochs; ++e) {
+        EpochStats stats = trainer.TrainEpoch();
+        std::printf(
+            "epoch %3u  loss %.4f  val %.3f  %.4fs  (bp %.0f%% dt %.0f%% "
+            "nn %.0f%%, %.2f MB moved)\n",
+            e, stats.train_loss, trainer.Evaluate(dataset->split.val),
+            stats.epoch_seconds,
+            100.0 * stats.batch_prep_seconds /
+                (stats.batch_prep_seconds + stats.extract_seconds +
+                 stats.load_seconds + stats.nn_seconds),
+            100.0 * (stats.extract_seconds + stats.load_seconds) /
+                (stats.batch_prep_seconds + stats.extract_seconds +
+                 stats.load_seconds + stats.nn_seconds),
+            100.0 * stats.nn_seconds /
+                (stats.batch_prep_seconds + stats.extract_seconds +
+                 stats.load_seconds + stats.nn_seconds),
+            stats.bytes_transferred / 1e6);
       }
-      std::printf("restored checkpoint\n");
-    }
-    for (uint32_t e = 0; e < epochs; ++e) {
-      EpochStats stats = trainer.TrainEpoch();
-      std::printf(
-          "epoch %3u  loss %.4f  val %.3f  %.4fs  (bp %.0f%% dt %.0f%% "
-          "nn %.0f%%, %.2f MB moved)\n",
-          e, stats.train_loss, trainer.Evaluate(dataset->split.val),
-          stats.epoch_seconds,
-          100.0 * stats.batch_prep_seconds /
-              (stats.batch_prep_seconds + stats.extract_seconds +
-               stats.load_seconds + stats.nn_seconds),
-          100.0 * (stats.extract_seconds + stats.load_seconds) /
-              (stats.batch_prep_seconds + stats.extract_seconds +
-               stats.load_seconds + stats.nn_seconds),
-          100.0 * stats.nn_seconds /
-              (stats.batch_prep_seconds + stats.extract_seconds +
-               stats.load_seconds + stats.nn_seconds),
-          stats.bytes_transferred / 1e6);
-    }
-    std::printf("test accuracy %.3f\n",
-                trainer.Evaluate(dataset->split.test));
-    if (flags.GetBool("report", false)) {
-      PrintAttributionReport(trainer.attribution_history());
-    }
-    if (flags.Has("save")) {
-      Status status =
-          SaveCheckpoint(trainer.model(), flags.GetString("save", ""));
-      if (!status.ok()) {
-        std::fprintf(stderr, "error: %s\n", status.ToString().c_str());
-        return 1;
+      std::printf("test accuracy %.3f\n",
+                  trainer.Evaluate(dataset->split.test));
+      if (flags.GetBool("report", false)) {
+        PrintAttributionReport(trainer.attribution_history());
       }
-      std::printf("checkpoint written to %s\n",
-                  flags.GetString("save", "").c_str());
-    }
+    });
   }
+  if (rc != 0) return rc;
 
   // --- Telemetry artifacts (after all training output, so the training
   // lines above stay diffable against an untraced run). ---

@@ -98,11 +98,6 @@ bool IsKnownExternal(const std::string& s) {
 // Token-walk helpers
 // ---------------------------------------------------------------------------
 
-// toks[i] == ",": if the comma separates declarators of one statement
-// (`Tensor x(4, 3), y(2, 3)`), the index of the statement's type-head
-// ident; kNpos when it is an argument/operand comma instead.
-size_t DeclaratorTypeBack(const std::vector<const Token*>& toks, size_t i);
-
 // toks[i] == "]": index of the matching "[".
 size_t MatchBracketBack(const std::vector<const Token*>& toks, size_t i) {
   long depth = 1;
@@ -132,41 +127,6 @@ size_t MatchAngleBack(const std::vector<const Token*>& toks, size_t i) {
   return kNpos;
 }
 
-size_t DeclaratorTypeBack(const std::vector<const Token*>& toks, size_t i) {
-  long d = 0;
-  while (i-- > 0) {
-    const Token* t = toks[i];
-    if (t->kind == TokKind::kPunct) {
-      const std::string& p = t->text;
-      if (p == ")" || p == "]" || p == "}") {
-        ++d;
-      } else if (p == "(" || p == "[" || p == "{") {
-        if (d == 0) return kNpos;  // inside an argument list: not a decl
-        --d;
-      } else if (d == 0 && p == ";") {
-        return kNpos;
-      }
-      continue;
-    }
-    if (d != 0 || t->kind != TokKind::kIdent) continue;
-    if (IsKeyword(t->text)) return kNpos;
-    // A preceding declarator's name: the type head sits right before it.
-    if (i > 0 && toks[i - 1]->kind == TokKind::kIdent &&
-        !IsKeyword(toks[i - 1]->text)) {
-      return i - 1;
-    }
-    if (i > 0 && IsPunct(toks[i - 1], ">")) {
-      const size_t lt = MatchAngleBack(toks, i - 1);
-      if (lt != kNpos && lt > 0 && toks[lt - 1]->kind == TokKind::kIdent) {
-        return lt - 1;
-      }
-      return kNpos;
-    }
-    // `*` / `&` / an earlier declarator comma: keep walking left.
-  }
-  return kNpos;
-}
-
 // Qualifier chain ending just before toks[name_idx]: for
 // `a::b::Name` returns {"a","b"}.
 std::vector<std::string> QualChainBack(const std::vector<const Token*>& toks,
@@ -179,22 +139,6 @@ std::vector<std::string> QualChainBack(const std::vector<const Token*>& toks,
     k -= 2;
   }
   return quals;
-}
-
-// True if the declaration containing toks[i] is static or thread_local:
-// scan back to the statement boundary (bounded window).
-bool StaticDeclBack(const std::vector<const Token*>& toks, size_t i) {
-  size_t lo = i > 48 ? i - 48 : 0;
-  while (i > lo) {
-    --i;
-    const Token* t = toks[i];
-    if (t->kind == TokKind::kPunct &&
-        (t->text == ";" || t->text == "{" || t->text == "}")) {
-      return false;
-    }
-    if (IsIdent(t, "static") || IsIdent(t, "thread_local")) return true;
-  }
-  return false;
 }
 
 // `Type name` declarator match starting at toks[i] (the first token of
@@ -257,11 +201,9 @@ struct ClassInfo {
 struct Builder {
   CallGraph g;
   const std::vector<SourceFile>* files = nullptr;
-  std::vector<std::vector<const Token*>> toks;  // per file
 
   // Per-function side tables (parallel to g.fns).
   std::vector<std::map<std::string, size_t>> lambda_vars;
-  std::vector<std::set<std::string>> callable_params;
   std::vector<std::set<std::string>> param_names;
   std::vector<std::map<std::string, std::string>> local_types;
   std::vector<std::pair<size_t, size_t>> param_range;
@@ -281,7 +223,6 @@ struct Builder {
   size_t AddFn(FunctionInfo fn) {
     g.fns.push_back(std::move(fn));
     lambda_vars.emplace_back();
-    callable_params.emplace_back();
     param_names.emplace_back();
     local_types.emplace_back();
     param_range.emplace_back(0, 0);
@@ -369,7 +310,7 @@ struct Frame {
 
 void ExtractFile(Builder& b, size_t file_idx) {
   const SourceFile& f = (*b.files)[file_idx];
-  const std::vector<const Token*>& toks = b.toks[file_idx];
+  const std::vector<const Token*>& toks = b.g.toks[file_idx];
 
   std::set<size_t> hot_lines;
   for (const Token& t : f.tokens) {
@@ -778,19 +719,10 @@ void ExtractFile(Builder& b, size_t file_idx) {
 void ParseParams(Builder& b, size_t fi) {
   const auto [lo, hi] = b.param_range[fi];
   if (lo >= hi) return;
-  const std::vector<const Token*>& toks = b.toks[b.g.fns[fi].file];
+  const std::vector<const Token*>& toks = b.g.toks[b.g.fns[fi].file];
 
   auto flush = [&](size_t s, size_t e) {
     if (s >= e) return;
-    bool callable = false;
-    for (size_t k = s; k < e; ++k) {
-      if (toks[k]->kind != TokKind::kIdent) continue;
-      if (toks[k]->text == "FunctionRef" ||
-          (toks[k]->text == "function" &&
-           IsPunct(toks[k + 1 < e ? k + 1 : k], "<"))) {
-        callable = true;
-      }
-    }
     size_t stop = e;
     for (size_t k = s; k < e; ++k) {
       if (IsPunct(toks[k], "=")) {
@@ -806,7 +738,6 @@ void ParseParams(Builder& b, size_t fi) {
     }
     if (name_i == kNpos) return;
     const std::string& nm = toks[name_i]->text;
-    if (callable) b.callable_params[fi].insert(nm);
     b.param_names[fi].insert(nm);
     // Type simple name: last ident of the leading qualified chain.
     size_t k = s;
@@ -859,18 +790,6 @@ size_t LookupLambdaVar(Builder& b, size_t fi, const std::string& name) {
     if (it != b.lambda_vars[f].end()) return it->second;
   }
   return kNoFn;
-}
-
-bool IsCallableName(Builder& b, size_t fi, const std::string& name) {
-  for (size_t f = fi; f != kNoFn; f = b.g.fns[f].parent) {
-    if (b.callable_params[f].count(name) > 0) return true;
-    auto it = b.local_types[f].find(name);
-    if (it != b.local_types[f].end() &&
-        (it->second == "FunctionRef" || it->second == "function")) {
-      return true;
-    }
-  }
-  return false;
 }
 
 // Type of data member `name` across `cls` and its bases.
@@ -957,8 +876,8 @@ void ResolveMember(Builder& b, size_t fi, const std::string& name,
   }
 }
 
-// Constructor edges for a type name (decl-style `Tensor out(shape)`,
-// member initializers, `new Foo(...)`, functional casts).
+// Constructor edges for a type name: decl-style `Tensor out(shape)`,
+// with the type a plain or a template-id head.
 void ResolveCtor(Builder& b, const std::string& ty,
                  const std::vector<std::string>& quals, CallSite& cs) {
   if (!quals.empty() && IsExternalNamespace(quals[0])) {
@@ -1020,14 +939,6 @@ void ResolveUnqualified(Builder& b, size_t fi, const std::string& name,
     cs.kind = CallKind::kRepo;
     return;
   }
-  if (IsCallableName(b, fi, name)) {
-    cs.kind = CallKind::kCallableParam;
-    return;
-  }
-  if (b.classes.count(name) > 0) {  // constructor / functional cast
-    ResolveCtor(b, name, {}, cs);
-    return;
-  }
   const std::string& cls = b.g.fns[fi].cls;
   if (!cls.empty()) {
     cs.callees = HierarchyMethods(b, cls, name);
@@ -1054,8 +965,8 @@ void ResolveUnqualified(Builder& b, size_t fi, const std::string& name,
     cs.kind = CallKind::kCallableParam;
     return;
   }
-  // Invoking a parameter of non-callable declared type (template-param
-  // functors like `Kernel kernel`): still a callable the caller chose.
+  // Invoking a parameter (a FunctionRef, or a template functor like
+  // `Kernel kernel`): a callable the caller chose, which owns its effects.
   for (size_t f = fi; f != kNoFn; f = b.g.fns[f].parent) {
     if (b.param_names[f].count(name) > 0) {
       cs.kind = CallKind::kCallableParam;
@@ -1075,7 +986,6 @@ void PushSite(Builder& b, CallSite cs, bool counted) {
       case CallKind::kRepo: ++b.g.stats.resolved_repo; break;
       case CallKind::kExternal: ++b.g.stats.external; break;
       case CallKind::kCallableParam: ++b.g.stats.callable_param; break;
-      case CallKind::kFnRef: break;
       case CallKind::kUnresolved: ++b.g.stats.unresolved; break;
     }
   }
@@ -1084,57 +994,19 @@ void PushSite(Builder& b, CallSite cs, bool counted) {
   b.g.fns[caller].sites.push_back(b.g.sites.size() - 1);
 }
 
-void ScanRange(Builder& b, size_t fi, size_t lo, size_t hi, bool init_list,
-               const std::vector<std::pair<size_t, size_t>>* skip) {
+void ScanRange(Builder& b, size_t fi, size_t lo, size_t hi) {
   const FunctionInfo& fn = b.g.fns[fi];
   const SourceFile& sf = (*b.files)[fn.file];
-  const std::vector<const Token*>& toks = b.toks[fn.file];
+  const std::vector<const Token*>& toks = b.g.toks[fn.file];
 
   for (size_t i = lo; i < hi && i < toks.size(); ++i) {
-    if (skip != nullptr) {
-      bool inside = false;
-      for (const auto& [s, e] : *skip) {
-        if (i >= s && i < e) {
-          i = e - 1;
-          inside = true;
-          break;
-        }
-        if (s > i) break;
-      }
-      if (inside) continue;
-    }
     if (sf.in_pp[i]) continue;
     const Token* t = toks[i];
     if (t->kind != TokKind::kIdent || IsKeyword(t->text)) continue;
     const Token* prev = i > 0 ? toks[i - 1] : nullptr;
     const Token* next = i + 1 < toks.size() ? toks[i + 1] : nullptr;
     if (next == nullptr) break;
-
-    if (!IsPunct(next, "(")) {
-      // Function name used as an argument: a conservative pointer edge
-      // when it names exactly one free function (or `&Cls::Method`).
-      if (init_list) continue;
-      if (!IsPunct(next, ",") && !IsPunct(next, ")")) continue;
-      CallSite cs;
-      cs.caller = fi;
-      cs.line = t->line;
-      cs.name = t->text;
-      cs.kind = CallKind::kFnRef;
-      if (prev != nullptr && IsPunct(prev, "::") && i >= 3 &&
-          toks[i - 2]->kind == TokKind::kIdent &&
-          IsPunct(toks[i - 3], "&")) {
-        cs.callees = HierarchyMethods(b, toks[i - 2]->text, t->text);
-      } else if (prev != nullptr &&
-                 (IsPunct(prev, "(") || IsPunct(prev, ",") ||
-                  IsPunct(prev, "&"))) {
-        auto it = b.free_fns.find(t->text);
-        if (it != b.free_fns.end() && it->second.size() == 1) {
-          cs.callees = it->second;
-        }
-      }
-      if (!cs.callees.empty()) PushSite(b, std::move(cs), false);
-      continue;
-    }
+    if (!IsPunct(next, "(")) continue;
 
     CallSite cs;
     cs.caller = fi;
@@ -1142,23 +1014,9 @@ void ScanRange(Builder& b, size_t fi, size_t lo, size_t hi, bool init_list,
     cs.name = t->text;
     const std::vector<uint32_t>& depth = b.g.loop_depth[fn.file];
     cs.in_loop = i < depth.size() && depth[i] > fn.body_depth;
-    cs.static_decl = StaticDeclBack(toks, i);
+    cs.static_decl = IsStaticDecl(toks, i);
 
-    if (init_list) {
-      // Ctor-init-list: `member_(args)` constructs the member's type;
-      // `Base(args)` is a base/delegating constructor call.
-      std::string ty = LookupVarType(b, fi, t->text);
-      if (ty.empty() && b.classes.count(t->text) > 0) ty = t->text;
-      if (!ty.empty()) {
-        ResolveCtor(b, ty, {}, cs);
-      } else {
-        cs.kind = CallKind::kExternal;
-      }
-      PushSite(b, std::move(cs), true);
-      continue;
-    }
     if (prev != nullptr && (IsPunct(prev, ".") || IsPunct(prev, "->"))) {
-      cs.is_member = true;
       std::string receiver;
       std::string receiver_ty;
       if (i >= 2 && toks[i - 2]->kind == TokKind::kIdent) {
@@ -1201,17 +1059,6 @@ void ScanRange(Builder& b, size_t fi, size_t lo, size_t hi, bool init_list,
         continue;
       }
     }
-    if (prev != nullptr && IsPunct(prev, ",")) {
-      // Later declarator of a multi-declarator statement:
-      // `Tensor x(4, 3), y(2, 3)` constructs the statement's type.
-      const size_t ti = DeclaratorTypeBack(toks, i - 1);
-      if (ti != kNpos) {
-        cs.name = toks[ti]->text;
-        ResolveCtor(b, toks[ti]->text, QualChainBack(toks, ti), cs);
-        PushSite(b, std::move(cs), true);
-        continue;
-      }
-    }
     std::vector<std::string> quals = QualChainBack(toks, i);
     if (!quals.empty()) {
       ResolveQualified(b, t->text, quals, cs);
@@ -1222,35 +1069,21 @@ void ScanRange(Builder& b, size_t fi, size_t lo, size_t hi, bool init_list,
   }
 }
 
-void ScanFn(Builder& b, size_t fi,
-            const std::vector<std::pair<size_t, size_t>>& skip) {
-  const size_t bb = b.g.fns[fi].body_begin;
-  const size_t be = b.g.fns[fi].body_end;
-  const SourceFile& sf = (*b.files)[b.g.fns[fi].file];
-  const std::vector<const Token*>& toks = b.toks[b.g.fns[fi].file];
+void ScanFn(Builder& b, size_t fi) {
+  const FunctionInfo& fn = b.g.fns[fi];
+  const SourceFile& sf = (*b.files)[fn.file];
+  const std::vector<const Token*>& toks = b.g.toks[fn.file];
 
   // Locals first: declarations precede uses within a body.
-  for (size_t i = bb + 1; i + 1 < be && i < toks.size(); ++i) {
-    if (sf.in_pp[i]) continue;
-    bool inside = false;
-    for (const auto& [s, e] : skip) {
-      if (i >= s && i < e) {
-        i = e - 1;
-        inside = true;
-        break;
+  for (const auto& [lo, hi] : fn.segments) {
+    for (size_t i = lo; i < hi && i < toks.size(); ++i) {
+      std::string ty, nm;
+      if (!sf.in_pp[i] && TryVarDecl(toks, i, &ty, &nm)) {
+        b.local_types[fi].emplace(nm, ty);
       }
-      if (s > i) break;
-    }
-    if (inside) continue;
-    std::string ty, nm;
-    if (toks[i]->kind == TokKind::kIdent && TryVarDecl(toks, i, &ty, &nm)) {
-      b.local_types[fi].emplace(nm, ty);
     }
   }
-
-  const auto [plo, phi] = b.param_range[fi];
-  if (phi > 0 && phi < bb) ScanRange(b, fi, phi, bb, true, nullptr);
-  if (be > bb + 1) ScanRange(b, fi, bb + 1, be - 1, false, &skip);
+  for (const auto& [lo, hi] : fn.segments) ScanRange(b, fi, lo, hi);
 }
 
 }  // namespace
@@ -1259,11 +1092,11 @@ CallGraph BuildCallGraph(const std::vector<SourceFile>& files) {
   Builder b;
   b.files = &files;
   // src/ is all the contracts read: tests, benches and tools stay out.
-  b.toks.resize(files.size());
+  b.g.toks.resize(files.size());
   b.g.loop_depth.resize(files.size());
   for (size_t i = 0; i < files.size(); ++i) {
     if (!files[i].InDir("src/")) continue;
-    b.toks[i] = CodeTokens(files[i]);
+    b.g.toks[i] = CodeTokens(files[i]);
     ExtractFile(b, i);
   }
 
@@ -1301,15 +1134,18 @@ CallGraph BuildCallGraph(const std::vector<SourceFile>& files) {
 
   for (size_t i = 0; i < b.g.fns.size(); ++i) ParseParams(b, i);
 
-  std::vector<std::vector<std::pair<size_t, size_t>>> skips(b.g.fns.size());
-  for (size_t i = 0; i < b.g.fns.size(); ++i) {
-    const FunctionInfo& fn = b.g.fns[i];
-    if (fn.parent != kNoFn) {
-      skips[fn.parent].push_back({fn.body_begin, fn.body_end});
-    }
+  // Each body's own token ranges: its lambdas' bodies are cut out, as
+  // each lambda owns its call sites and effects. A lambda comes after
+  // its encloser in fns, and an encloser's lambdas come in token order.
+  for (FunctionInfo& fn : b.g.fns) {
+    fn.segments.push_back({fn.body_begin + 1, fn.body_end - 1});
+    if (fn.parent == kNoFn) continue;
+    auto& outer = b.g.fns[fn.parent].segments;
+    const size_t hi = outer.back().second;
+    outer.back().second = fn.body_begin;
+    outer.push_back({fn.body_end, hi});
   }
-  for (auto& s : skips) std::sort(s.begin(), s.end());
-  for (size_t i = 0; i < b.g.fns.size(); ++i) ScanFn(b, i, skips[i]);
+  for (size_t i = 0; i < b.g.fns.size(); ++i) ScanFn(b, i);
 
   // Implicit lexical edge: the encloser owns each of its lambdas'
   // effects — it either runs the lambda itself or chose the runner. The
@@ -1330,7 +1166,7 @@ CallGraph BuildCallGraph(const std::vector<SourceFile>& files) {
                  depth[fn.body_begin] > b.g.fns[fn.parent].body_depth;
     // `static const auto x = []{...}();` runs once — the contract walks
     // exempt static-decl sites, and that covers the lambda edge too.
-    cs.static_decl = StaticDeclBack(b.toks[fn.file], fn.body_begin);
+    cs.static_decl = IsStaticDecl(b.g.toks[fn.file], fn.body_begin);
     PushSite(b, std::move(cs), false);
   }
 

@@ -2,21 +2,24 @@
 // linter's only model of code structure: function/lambda definitions
 // with body extents, loop depth per token, class hierarchy for virtual
 // dispatch, and per-call-site resolution by qualified name with
-// class/namespace scope tracking. Conservative-edge policy:
+// class/namespace scope tracking. It resolves the call shapes src/
+// writes, no more. Conservative-edge policy:
 //   - every lambda gets an implicit edge from its lexically enclosing
 //     function (the encloser either runs it or hands it to a runner it
 //     chose, so it owns the lambda's effects) — this is call-site
 //     inlining, deliberately NOT an edge from ParallelFor/Submit to the
 //     lambda, which would collapse every parallel body into one
 //     context-insensitive blob;
-//   - invoking a FunctionRef/std::function *parameter* adds no edge: the
-//     caller that materialized the callable already owns its effects;
+//   - invoking a parameter (a FunctionRef, a template functor) or a
+//     stored `_`-suffixed callable adds no edge: the caller that
+//     materialized the callable already owns its effects;
 //   - a member call whose receiver type is known dispatches to the
 //     method on that class, its bases (inherited definition), and every
 //     derived override (virtual dispatch); unknown receivers fall back
 //     to every method with that name;
-//   - a bare function name used as an argument (function pointer) edges
-//     to its unique free-function definition when one exists.
+//   - a function name passed as an argument, a constructor-init-list
+//     entry, a later declarator of `T a(x), b(y)` and a functional cast
+//     `T(x)` add no edge: no effect in src/ depends on one.
 // Lambdas handed to ParallelFor/ParallelFor2D are marked parallel
 // roots; lambdas handed to a worker std::thread (emplace_back/push_back/
 // thread in a file that owns threads) are producer roots — the effect
@@ -28,6 +31,7 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "lint/source_file.h"
@@ -48,8 +52,7 @@ std::string EffectNames(uint8_t mask);
 enum class CallKind : uint8_t {
   kRepo,           // resolved to >= 1 repo function definition
   kExternal,       // std::/libc/macro/builtin — assumed effect-free
-  kCallableParam,  // invokes a FunctionRef/std::function parameter
-  kFnRef,          // function name passed as an argument (pointer edge)
+  kCallableParam,  // invokes a parameter or a stored `_` callable
   kUnresolved,     // looked like a repo call but nothing matched
 };
 
@@ -57,11 +60,10 @@ struct CallSite {
   size_t caller = 0;  // index into CallGraph::fns
   size_t line = 0;
   std::string name;   // simple callee name as written
-  std::vector<size_t> callees;  // fn indices (kRepo / kFnRef)
+  std::vector<size_t> callees;  // fn indices (kRepo)
   CallKind kind = CallKind::kExternal;
   bool in_loop = false;      // inside a loop of the calling function
   bool static_decl = false;  // initializer of a static/thread_local local
-  bool is_member = false;
 };
 
 /// One intrinsic effect occurrence inside a function body.
@@ -83,6 +85,9 @@ struct FunctionInfo {
   size_t body_begin = 0;  // CodeTokens index of the '{'
   size_t body_end = 0;    // CodeTokens index one past the '}'
   uint32_t body_depth = 0;  // loop nesting at the '{' (see loop_depth)
+  // The body's own [begin, end) CodeTokens ranges, in order: the body
+  // between its braces minus the bodies of its lambdas.
+  std::vector<std::pair<size_t, size_t>> segments;
   size_t parent = kNoFn;  // lexical encloser (lambdas)
   bool is_lambda = false;
   bool is_operator = false;
@@ -106,6 +111,9 @@ struct CallGraphStats {
 };
 
 struct CallGraph {
+  // Per file: CodeTokens (empty outside src/), pointing into the files
+  // the graph was built from, which must outlive it.
+  std::vector<std::vector<const Token*>> toks;
   std::vector<FunctionInfo> fns;
   std::vector<CallSite> sites;
   std::map<std::string, std::vector<size_t>> by_name;  // simple name -> fns

@@ -32,21 +32,6 @@ bool IsCallTo(const std::vector<const Token*>& toks, size_t i,
          (i == 0 || !IsPunct(toks[i - 1], "->"));
 }
 
-/// True if a declaration whose type starts at toks[i] is static or
-/// thread_local (scan back a few tokens, stopping at statement
-/// boundaries) — such a local allocates once, not per iteration.
-bool IsStaticDecl(const std::vector<const Token*>& toks, size_t i) {
-  for (size_t back = 0; back < 4 && i - back > 0; ++back) {
-    const Token* t = toks[i - back - 1];
-    if (IsPunct(t, ";") || IsPunct(t, "{") || IsPunct(t, "}") ||
-        IsPunct(t, "(")) {
-      return false;
-    }
-    if (IsIdent(t, "static") || IsIdent(t, "thread_local")) return true;
-  }
-  return false;
-}
-
 /// The hot-path-alloc diagnostic when toks[i] (an identifier) starts a
 /// heap allocation — `new`, make_unique/make_shared, std::function
 /// materialization, owning-container construction, insertion into an
@@ -93,7 +78,7 @@ std::string AllocationAt(const std::vector<const Token*>& toks, size_t i,
          IsPunct(toks[j], "::") || IsIdent(toks[j], "const"))) {
       return "";
     }
-    if (IsStaticDecl(toks, i - 2)) return "";
+    if (IsStaticDecl(toks, i - 2)) return "";  // allocates once
     return "constructing a std::" + s +
            " on a hot path allocates per iteration; hoist it above the "
            "loop / ParallelFor and reuse its capacity";
@@ -109,9 +94,9 @@ std::string AllocationAt(const std::vector<const Token*>& toks, size_t i,
   return "";
 }
 
-// Intrinsic effect patterns over one body segment (children excluded by
-// the caller): the allocation patterns, then the leaf operations the
-// wrapped lock/wait/IO primitives bottom out in.
+// Intrinsic effect patterns over one of a function's own body segments:
+// the allocation patterns, then the leaf operations the wrapped
+// lock/wait/IO primitives bottom out in.
 void ScanSegment(const SourceFile& sf, const std::vector<const Token*>& toks,
                  const std::set<std::string>& unordered, size_t lo, size_t hi,
                  const std::vector<uint32_t>& loop_depth, FunctionInfo& fn) {
@@ -288,38 +273,15 @@ void AppendEffectArray(std::string& out, uint8_t mask) {
 // ---------------------------------------------------------------------------
 
 void ComputeEffects(const std::vector<SourceFile>& files, CallGraph& g) {
-  // Per-file shared context (the graph holds src/ functions only).
-  std::vector<std::vector<const Token*>> toks(files.size());
   std::vector<std::set<std::string>> unordered(files.size());
   for (size_t f = 0; f < files.size(); ++f) {
-    if (!files[f].InDir("src/")) continue;
-    toks[f] = CodeTokens(files[f]);
-    unordered[f] = UnorderedNames(toks[f]);
+    unordered[f] = UnorderedNames(g.toks[f]);
   }
-  // Child body ranges to exclude (each lambda owns its own effects).
-  std::vector<std::vector<std::pair<size_t, size_t>>> skips(g.fns.size());
-  for (const FunctionInfo& fn : g.fns) {
-    if (fn.parent != kNoFn) {
-      skips[fn.parent].push_back({fn.body_begin, fn.body_end});
-    }
-  }
-  for (auto& s : skips) std::sort(s.begin(), s.end());
-
-  for (size_t i = 0; i < g.fns.size(); ++i) {
-    FunctionInfo& fn = g.fns[i];
+  for (FunctionInfo& fn : g.fns) {
     const SourceFile& sf = files[fn.file];
     if (IsBoundaryFile(sf.rel)) continue;  // audited substrate: no effects
-    size_t lo = fn.body_begin + 1;
-    const size_t hi = fn.body_end > 0 ? fn.body_end - 1 : fn.body_begin;
-    for (const auto& [cs, ce] : skips[i]) {
-      if (cs > lo) {
-        ScanSegment(sf, toks[fn.file], unordered[fn.file], lo,
-                    std::min(cs, hi), g.loop_depth[fn.file], fn);
-      }
-      lo = std::max(lo, ce);
-    }
-    if (lo < hi) {
-      ScanSegment(sf, toks[fn.file], unordered[fn.file], lo, hi,
+    for (const auto& [lo, hi] : fn.segments) {
+      ScanSegment(sf, g.toks[fn.file], unordered[fn.file], lo, hi,
                   g.loop_depth[fn.file], fn);
     }
     for (const EffectOrigin& o : fn.origins) fn.own_effects |= o.effect;

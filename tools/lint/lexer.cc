@@ -168,4 +168,15 @@ size_t SkipTemplateArgs(const std::vector<const Token*>& toks, size_t i) {
   return i;
 }
 
+bool IsStaticDecl(const std::vector<const Token*>& toks, size_t i) {
+  const size_t lo = i > 48 ? i - 48 : 0;
+  while (i > lo) {
+    --i;
+    const Token* t = toks[i];
+    if (IsPunct(t, ";") || IsPunct(t, "{") || IsPunct(t, "}")) return false;
+    if (IsIdent(t, "static") || IsIdent(t, "thread_local")) return true;
+  }
+  return false;
+}
+
 }  // namespace gnndm_lint

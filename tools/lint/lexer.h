@@ -46,6 +46,11 @@ bool IsStdQualified(const std::vector<const Token*>& toks, size_t i,
 /// The lexer emits ">>" as one token; it closes two levels.
 size_t SkipTemplateArgs(const std::vector<const Token*>& toks, size_t i);
 
+/// True if the statement holding toks[i] declares a static or
+/// thread_local: scans back (at most 48 tokens) to the statement
+/// boundary. Such a local is initialized once, not per call.
+bool IsStaticDecl(const std::vector<const Token*>& toks, size_t i);
+
 }  // namespace gnndm_lint
 
 #endif  // GNNDM_TOOLS_LINT_LEXER_H_
