@@ -331,7 +331,8 @@ int Run(int argc, char** argv) {
   std::vector<std::string> header = {"kernel", "shape", "serial ms"};
   for (size_t t : thread_list) {
     header.push_back("t=" + std::to_string(t) + " ms");
-    header.push_back("x" + std::to_string(t));
+    header.push_back("x");
+    header.back() += std::to_string(t);
     header.push_back("same");
   }
   table.SetHeader(std::move(header));

@@ -51,7 +51,8 @@ bool Flags::GetBool(const std::string& key, bool default_value) const {
 }
 
 std::vector<uint32_t> Flags::GetPositiveList(
-    const std::string& key, const std::string& default_csv) const {
+    const std::string& key, const std::string& default_csv,
+    std::vector<std::string>* rejected) const {
   const std::string csv = GetString(key, default_csv);
   std::vector<uint32_t> out;
   size_t start = 0;
@@ -63,6 +64,8 @@ std::vector<uint32_t> Flags::GetPositiveList(
     const long long v = std::strtoll(entry.c_str(), &end, 10);
     if (end != entry.c_str() && *end == '\0' && v >= 1 && v <= UINT32_MAX) {
       out.push_back(static_cast<uint32_t>(v));
+    } else if (rejected != nullptr) {
+      rejected->push_back(entry);
     }
     start = comma + 1;
   }

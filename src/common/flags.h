@@ -23,9 +23,10 @@ class Flags {
   bool GetBool(const std::string& key, bool default_value) const;
   /// A comma-separated list of counts (`--parts=4,8`). Entries that are
   /// empty, not a whole decimal number, or outside [1, UINT32_MAX] are
-  /// skipped.
-  std::vector<uint32_t> GetPositiveList(const std::string& key,
-                                        const std::string& default_csv) const;
+  /// skipped, and appended to `rejected` when it is non-null.
+  std::vector<uint32_t> GetPositiveList(
+      const std::string& key, const std::string& default_csv,
+      std::vector<std::string>* rejected = nullptr) const;
 
  private:
   std::map<std::string, std::string> values_;

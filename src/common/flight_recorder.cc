@@ -8,8 +8,9 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <vector>
+#include <string>
 
+#include "common/function_ref.h"
 #include "common/json.h"
 #include "common/telemetry.h"
 
@@ -87,40 +88,146 @@ const char* KindName(uint32_t kind) {
                                                                 : "end";
 }
 
-struct MergedEvent {
-  int thread = 0;
-  int64_t t_ns = 0;
-  int64_t batch = -1;
-  uint32_t kind = 0;
-  const char* name = nullptr;
-};
+/// Writes `v` in decimal to `out` (room for 20 digits), unterminated;
+/// returns the digit count.
+size_t Decimal(uint64_t v, char* out) {
+  size_t n = 1;
+  for (uint64_t rest = v / 10; rest != 0; rest /= 10) ++n;
+  for (size_t i = n; i-- > 0; v /= 10) out[i] = static_cast<char>('0' + v % 10);
+  return n;
+}
 
-/// Collects the live window of every claimed ring. Racy against rings
-/// still being written — acceptable by design for a crash artifact.
-std::vector<MergedEvent> CollectEvents() {
-  std::vector<MergedEvent> merged;
+/// The one post-mortem writer, run by DumpJson, DumpPostMortem and the
+/// fatal-signal handler alike, so it allocates nothing, takes no lock and
+/// skips stdio: bytes collect in a fixed buffer that `sink` receives a
+/// piece at a time. The document is the reason, each claimed ring's last
+/// batch and event count, the rings' live windows merged in time order,
+/// and `metrics` (JSON text) as it is, or null when it is null; every
+/// string is escaped. A ring is already in time order, so the merge takes
+/// the earliest next event of any ring, ties to the lower thread. Rings
+/// still being written are read racily — acceptable by design for a
+/// crash artifact.
+void WriteDump(FunctionRef<void(const char*, size_t)> sink,
+               const char* reason, const char* metrics) {
+  char buf[1024];
+  size_t len = 0;
+  const auto raw = [&](const char* bytes, size_t n) {
+    for (size_t i = 0; i < n; ++i) {
+      if (len == sizeof(buf)) {
+        sink(buf, len);
+        len = 0;
+      }
+      buf[len++] = bytes[i];
+    }
+  };
+  const auto text = [&](const char* s) { raw(s, std::strlen(s)); };
+  const auto quoted = [&](const char* s) {
+    char escaped[6];
+    text("\"");
+    for (; *s != '\0'; ++s) raw(escaped, json::EscapeChar(*s, escaped));
+    text("\"");
+  };
+  // `key` (the text up to the value) and a whole number.
+  const auto field = [&](const char* key, int64_t v) {
+    text(key);
+    if (v < 0) text("-");
+    char digits[20];
+    raw(digits, Decimal(v < 0 ? 0 - static_cast<uint64_t>(v)
+                              : static_cast<uint64_t>(v),
+                        digits));
+  };
+
+  text("{\n  \"reason\": ");
+  quoted(reason);
+  text(",\n  \"threads\": [");
   const uint32_t threads = std::min<uint32_t>(
       g_claimed.load(std::memory_order_acquire), kMaxThreads);
+  // Ring t's unwritten live window is [next[t], head[t]).
+  uint64_t next[kMaxThreads] = {};
+  uint64_t head[kMaxThreads] = {};
   for (uint32_t t = 0; t < threads; ++t) {
     const ThreadRing& ring = g_rings[t];
-    const uint64_t head = ring.head.load(std::memory_order_acquire);
-    const uint64_t n = std::min<uint64_t>(head, kRingCapacity);
-    for (uint64_t i = head - n; i < head; ++i) {
-      const Event& e = ring.events[i % kRingCapacity];
-      MergedEvent m;
-      m.thread = static_cast<int>(t);
-      m.name = e.name.load(std::memory_order_relaxed);
-      m.t_ns = e.t_ns.load(std::memory_order_relaxed);
-      m.batch = e.batch.load(std::memory_order_relaxed);
-      m.kind = e.kind.load(std::memory_order_relaxed);
-      if (m.name != nullptr) merged.push_back(m);
-    }
+    head[t] = ring.head.load(std::memory_order_acquire);
+    next[t] = head[t] - std::min<uint64_t>(head[t], kRingCapacity);
+    field(t == 0 ? "\n    {\"thread\": " : ",\n    {\"thread\": ", t);
+    field(", \"last_batch\": ",
+          ring.last_batch.load(std::memory_order_relaxed));
+    field(", \"recorded\": ", static_cast<int64_t>(head[t]));
+    text("}");
   }
-  std::stable_sort(merged.begin(), merged.end(),
-                   [](const MergedEvent& a, const MergedEvent& b) {
-                     return a.t_ns < b.t_ns;
-                   });
-  return merged;
+  text("\n  ],\n  \"events\": [");
+  bool first = true;
+  for (;;) {
+    uint32_t earliest = threads;
+    int64_t earliest_ns = 0;
+    for (uint32_t t = 0; t < threads; ++t) {
+      if (next[t] == head[t]) continue;
+      const int64_t t_ns = g_rings[t]
+                               .events[next[t] % kRingCapacity]
+                               .t_ns.load(std::memory_order_relaxed);
+      if (earliest == threads || t_ns < earliest_ns) {
+        earliest = t;
+        earliest_ns = t_ns;
+      }
+    }
+    if (earliest == threads) break;
+    const Event& e =
+        g_rings[earliest].events[next[earliest]++ % kRingCapacity];
+    const char* name = e.name.load(std::memory_order_relaxed);
+    if (name == nullptr) continue;
+    field(first ? "\n    {\"thread\": " : ",\n    {\"thread\": ", earliest);
+    field(", \"t_ns\": ", e.t_ns.load(std::memory_order_relaxed));
+    text(", \"kind\": ");
+    quoted(KindName(e.kind.load(std::memory_order_relaxed)));
+    text(", \"name\": ");
+    quoted(name);
+    field(", \"batch\": ", e.batch.load(std::memory_order_relaxed));
+    text("}");
+    first = false;
+  }
+  text("\n  ],\n  \"metrics\": ");
+  text(metrics != nullptr ? metrics : "null");
+  text("\n}\n");
+  sink(buf, len);
+}
+
+/// The metrics snapshot a dump carries, held in `*storage`, or null.
+/// Best-effort: a check can fire while the calling thread already holds
+/// the registry mutex (e.g. inside an instrument constructor); blocking
+/// there would hang the crash path, so try-lock and fall back to null.
+const char* MetricsOrNull(std::string* storage) {
+  return telemetry::MetricsRegistry::Get().ToJsonTry(storage)
+             ? storage->c_str()
+             : nullptr;
+}
+
+/// Writes the dump to the post-mortem path, at most once per process.
+/// False when no path is configured, a dump was already written, or a
+/// write failed.
+bool WritePostMortem(const char* reason, const char* metrics) {
+  if (!g_path_set.load(std::memory_order_acquire)) return false;
+  if (g_dumped.exchange(true, std::memory_order_acq_rel)) return false;
+  const int fd = ::open(g_path, O_WRONLY | O_CREAT | O_TRUNC, 0644);
+  if (fd < 0) return false;
+  bool ok = true;
+  WriteDump(
+      [fd, &ok](const char* data, size_t n) {
+        ok = ok && ::write(fd, data, n) == static_cast<ssize_t>(n);
+      },
+      reason, metrics);
+  return ::close(fd) == 0 && ok;
+}
+
+void FatalSignalHandler(int signo) {
+  // "fatal signal <signo>", built without allocating or stdio.
+  char reason[40] = "fatal signal ";
+  const size_t prefix = std::strlen(reason);
+  reason[prefix + Decimal(static_cast<uint64_t>(signo), reason + prefix)] =
+      '\0';
+  WritePostMortem(reason, /*metrics=*/nullptr);
+  // SA_RESETHAND restored the default disposition; re-raise so the
+  // process still dies with the original signal (core dumps intact).
+  ::raise(signo);
 }
 
 }  // namespace
@@ -155,119 +262,18 @@ std::string PostMortemPath() {
 }
 
 std::string DumpJson(const std::string& reason) {
-  std::string out = "{\n  \"reason\": \"";
-  out += json::Escape(reason);
-  out += "\",\n  \"threads\": [";
-  const uint32_t threads = std::min<uint32_t>(
-      g_claimed.load(std::memory_order_acquire), kMaxThreads);
-  for (uint32_t t = 0; t < threads; ++t) {
-    const ThreadRing& ring = g_rings[t];
-    out += t == 0 ? "\n" : ",\n";
-    out += "    {\"thread\": " + std::to_string(t) + ", \"last_batch\": " +
-           std::to_string(ring.last_batch.load(std::memory_order_relaxed)) +
-           ", \"recorded\": " +
-           std::to_string(ring.head.load(std::memory_order_acquire)) + "}";
-  }
-  out += "\n  ],\n  \"events\": [";
-  const std::vector<MergedEvent> events = CollectEvents();
-  for (size_t i = 0; i < events.size(); ++i) {
-    const MergedEvent& e = events[i];
-    out += i == 0 ? "\n" : ",\n";
-    out += "    {\"thread\": " + std::to_string(e.thread) + ", \"t_ns\": " +
-           std::to_string(e.t_ns) + ", \"kind\": \"" + KindName(e.kind) +
-           "\", \"name\": \"" + json::Escape(e.name) + "\", \"batch\": " +
-           std::to_string(e.batch) + "}";
-  }
-  out += "\n  ],\n  \"metrics\": ";
-  // Best-effort: a check can fire while the calling thread already holds
-  // the registry mutex (e.g. inside an instrument constructor); blocking
-  // there would hang the crash path, so try-lock and fall back to null.
   std::string metrics;
-  if (telemetry::MetricsRegistry::Get().ToJsonTry(&metrics)) {
-    out += metrics;
-  } else {
-    out += "null";
-  }
-  out += "\n}\n";
+  std::string out;
+  WriteDump([&out](const char* data, size_t n) { out.append(data, n); },
+            reason.c_str(), MetricsOrNull(&metrics));
   return out;
 }
 
 bool DumpPostMortem(const std::string& reason) {
   if (!g_path_set.load(std::memory_order_acquire)) return false;
-  if (g_dumped.exchange(true, std::memory_order_acq_rel)) return false;
-  const std::string json = DumpJson(reason);
-  std::FILE* f = std::fopen(g_path, "w");
-  if (f == nullptr) return false;
-  const size_t written = std::fwrite(json.data(), 1, json.size(), f);
-  const bool ok = std::fclose(f) == 0 && written == json.size();
-  return ok;
+  std::string metrics;
+  return WritePostMortem(reason.c_str(), MetricsOrNull(&metrics));
 }
-
-namespace {
-
-/// Async-signal dump: fixed buffers, snprintf + write(2) only, no heap,
-/// no locks, no sorting (events stay grouped per thread). Same schema as
-/// DumpJson minus the metrics snapshot.
-void SignalSafeDump(int signo) {
-  if (!g_path_set.load(std::memory_order_relaxed)) return;
-  if (g_dumped.exchange(true, std::memory_order_acq_rel)) return;
-  const int fd = ::open(g_path, O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  if (fd < 0) return;
-  static char buf[1 << 16];
-  size_t len = 0;
-  const auto emit = [&](const char* fmt, auto... args) {
-    if (len + 256 > sizeof(buf)) {
-      (void)::write(fd, buf, len);
-      len = 0;
-    }
-    const int n =
-        std::snprintf(buf + len, sizeof(buf) - len, fmt, args...);
-    if (n > 0) len += static_cast<size_t>(n);
-  };
-  emit("{\n  \"reason\": \"fatal signal %d\",\n  \"threads\": [", signo);
-  const uint32_t threads = std::min<uint32_t>(
-      g_claimed.load(std::memory_order_relaxed), kMaxThreads);
-  for (uint32_t t = 0; t < threads; ++t) {
-    emit("%s\n    {\"thread\": %u, \"last_batch\": %lld, \"recorded\": "
-         "%llu}",
-         t == 0 ? "" : ",", t,
-         static_cast<long long>(
-             g_rings[t].last_batch.load(std::memory_order_relaxed)),
-         static_cast<unsigned long long>(
-             g_rings[t].head.load(std::memory_order_relaxed)));
-  }
-  emit("\n  ],\n  \"events\": [");
-  bool first = true;
-  for (uint32_t t = 0; t < threads; ++t) {
-    const ThreadRing& ring = g_rings[t];
-    const uint64_t head = ring.head.load(std::memory_order_relaxed);
-    const uint64_t n = std::min<uint64_t>(head, kRingCapacity);
-    for (uint64_t i = head - n; i < head; ++i) {
-      const Event& e = ring.events[i % kRingCapacity];
-      const char* name = e.name.load(std::memory_order_relaxed);
-      if (name == nullptr) continue;
-      emit("%s\n    {\"thread\": %u, \"t_ns\": %lld, \"kind\": \"%s\", "
-           "\"name\": \"%s\", \"batch\": %lld}",
-           first ? "" : ",", t,
-           static_cast<long long>(e.t_ns.load(std::memory_order_relaxed)),
-           KindName(e.kind.load(std::memory_order_relaxed)), name,
-           static_cast<long long>(e.batch.load(std::memory_order_relaxed)));
-      first = false;
-    }
-  }
-  emit("\n  ],\n  \"metrics\": null\n}\n");
-  if (len > 0) (void)::write(fd, buf, len);
-  (void)::close(fd);
-}
-
-void FatalSignalHandler(int signo) {
-  SignalSafeDump(signo);
-  // SA_RESETHAND restored the default disposition; re-raise so the
-  // process still dies with the original signal (core dumps intact).
-  ::raise(signo);
-}
-
-}  // namespace
 
 void InstallCrashHandlers() {
   if (g_handlers_installed.exchange(true, std::memory_order_acq_rel)) return;

@@ -59,23 +59,24 @@ void Record(EventKind kind, const char* name, int64_t batch, int64_t t_ns);
 void SetPostMortemPath(const std::string& path);
 std::string PostMortemPath();
 
-/// Serializes the merged rings (all threads, sorted by timestamp), the
+/// Serializes the merged rings (all threads, in time order), the
 /// per-thread last-batch markers, and a best-effort metrics snapshot to
 /// a JSON document. Always well-formed (flight_recorder_test JsonLints
-/// it); `metrics` is null when the registry mutex was contended.
+/// it); `metrics` is null when the registry mutex was contended. One
+/// allocation-free writer produces this document on every path.
 std::string DumpJson(const std::string& reason);
 
 /// Writes DumpJson(reason) to the configured post-mortem path. Returns
-/// false (and writes nothing) when no path is configured, when a dump
-/// was already written, or on I/O failure. Re-entrant calls (a crash
-/// inside the dump) are dropped. Called from the GNNDM_CHECK failure
-/// path; safe to call manually before an orderly shutdown too.
+/// false when no path is configured, when a dump was already written,
+/// or on I/O failure. Re-entrant calls (a crash inside the dump) are
+/// dropped. Called from the GNNDM_CHECK failure path; safe to call
+/// manually before an orderly shutdown too.
 bool DumpPostMortem(const std::string& reason);
 
-/// Installs fatal-signal handlers (SEGV/BUS/ILL/FPE/ABRT) that write a
-/// reduced, signal-safe dump (no metrics snapshot, per-thread event
-/// order) to the post-mortem path and then re-raise. Call once from
-/// main(); a no-op when called again.
+/// Installs fatal-signal handlers (SEGV/BUS/ILL/FPE/ABRT) that write
+/// the same document with reason "fatal signal <n>" and `"metrics":
+/// null` (the handler takes no lock) to the post-mortem path and then
+/// re-raise. Call once from main(); a no-op when called again.
 void InstallCrashHandlers();
 
 /// Test hook: zeroes every ring and the dumped-once latch so a test can

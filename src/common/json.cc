@@ -1,5 +1,6 @@
 #include "common/json.h"
 
+#include <algorithm>
 #include <cctype>
 #include <cmath>
 #include <cstdio>
@@ -260,37 +261,32 @@ Status Parse(const std::string& text, Value* out) {
   return Parser(text).Run(out);
 }
 
+size_t EscapeChar(char c, char out[6]) {
+  // Pairs of (character, the letter after its backslash).
+  static constexpr char kNamed[] = "\"\"\\\\\nn\tt\rr";
+  for (size_t i = 0; i + 1 < sizeof(kNamed); i += 2) {
+    if (c != kNamed[i]) continue;
+    out[0] = '\\';
+    out[1] = kNamed[i + 1];
+    return 2;
+  }
+  const auto byte = static_cast<unsigned char>(c);
+  if (byte >= 0x20) {
+    out[0] = c;
+    return 1;
+  }
+  static constexpr char kHex[] = "0123456789abcdef";
+  const char escaped[6] = {'\\', 'u', '0', '0', kHex[byte >> 4],
+                           kHex[byte & 15]};
+  std::copy(escaped, escaped + 6, out);
+  return 6;
+}
+
 std::string Escape(const std::string& s) {
   std::string out;
   out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
+  char escaped[6];
+  for (const char c : s) out.append(escaped, EscapeChar(c, escaped));
   return out;
 }
 

@@ -39,10 +39,16 @@ struct Value {
 [[nodiscard]] Status Parse(const std::string& text, Value* out);
 
 /// The repo's one string escaper: `s` as the body of a JSON string
-/// literal (quotes not included). `"` and `\` get a backslash, \n \t \r
-/// their two-character escapes, and every other control character
-/// \u00XX, so Parse decodes the result back to `s`.
+/// literal (quotes not included), EscapeChar applied to every character,
+/// so Parse decodes the result back to `s`.
 std::string Escape(const std::string& s);
+
+/// The escape of one character of a string body, written to `out`
+/// without a terminator; returns its length (1 to 6). `"` and `\` get a
+/// backslash, \n \t \r their two-character escapes, every other control
+/// character \u00XX, and anything else stays as it is. Allocation-free,
+/// so a fatal-signal handler may call it.
+size_t EscapeChar(char c, char out[6]);
 
 /// The repo's one number formatter: `v` printed "%.9g", or "0" for an
 /// infinity or NaN, which JSON cannot spell.

@@ -245,11 +245,11 @@ std::optional<PreparedBatch> AsyncBatchSource::Next() {
   return batch;
 }
 
-// --- FullBatchSource ----------------------------------------------------
+// --- Full-graph batch ---------------------------------------------------
 
-FullBatchSource::FullBatchSource(const CsrGraph& graph,
-                                 const FeatureMatrix& features,
-                                 uint32_t num_layers) {
+PreparedBatch FullGraphBatch(const CsrGraph& graph,
+                             const FeatureMatrix& features,
+                             uint32_t num_layers) {
   GNNDM_CHECK(num_layers >= 1);
   // Every level is the identity vertex list, every layer the full
   // adjacency in local (= global) ids.
@@ -268,17 +268,12 @@ FullBatchSource::FullBatchSource(const CsrGraph& graph,
     full_layer.offsets.push_back(
         static_cast<uint32_t>(full_layer.neighbors.size()));
   }
-  batch_.index = 0;
-  batch_.seeds = all;
-  batch_.subgraph.node_ids.assign(num_layers + 1, all);
-  batch_.subgraph.layers.assign(num_layers, full_layer);
-  TransferEngine::Gather(all, features, batch_.input);
-}
-
-std::optional<PreparedBatch> FullBatchSource::Next() {
-  if (delivered_) return std::nullopt;
-  delivered_ = true;
-  return std::move(batch_);
+  PreparedBatch batch;
+  batch.seeds = all;
+  batch.subgraph.node_ids.assign(num_layers + 1, all);
+  batch.subgraph.layers.assign(num_layers, full_layer);
+  TransferEngine::Gather(all, features, batch.input);
+  return batch;
 }
 
 // --- Factory ------------------------------------------------------------

@@ -39,9 +39,9 @@ struct PreparedBatch {
 /// The one batch data plane: everything that turns a list of seed
 /// vertices into PreparedBatches flows through a BatchSource — the
 /// paper's batch-preparation axis (§6) made pluggable. Implementations
-/// differ only in *who* produces (the calling thread, N background
-/// workers, or a one-shot full-graph materializer) and *how far ahead*;
-/// the delivered stream is identical across all of them.
+/// differ only in *who* produces (the calling thread or N background
+/// workers) and *how far ahead*; the delivered stream is identical across
+/// all of them.
 ///
 /// Determinism contract: batch i is sampled with Rng(BatchRngSeed(seed,
 /// i)) and delivered strictly in index order, so the stream of prepared
@@ -162,24 +162,14 @@ class AsyncBatchSource : public BatchSource {
   std::vector<std::thread> workers_;
 };
 
-/// One-shot implementation wrapping full-graph (NeuGraph/ROC-style)
-/// training: delivers a single PreparedBatch whose "subgraph" is the
-/// identity vertex list at every level over the full adjacency, with all
-/// vertex features gathered. FullBatchTrainer consumes it once and keeps
+/// The one batch of full-graph (NeuGraph/ROC-style) training: batch 0,
+/// every vertex a seed, its "subgraph" the identity vertex list at each
+/// of the `num_layers` + 1 levels over the full adjacency, with every
+/// vertex's features gathered. FullBatchTrainer builds it once and keeps
 /// it resident across epochs.
-class FullBatchSource : public BatchSource {
- public:
-  /// Materializes the full-graph batch eagerly (it is the epoch).
-  FullBatchSource(const CsrGraph& graph, const FeatureMatrix& features,
-                  uint32_t num_layers);
-
-  std::optional<PreparedBatch> Next() override;
-  size_t num_batches() const override { return 1; }
-
- private:
-  PreparedBatch batch_;
-  bool delivered_ = false;
-};
+PreparedBatch FullGraphBatch(const CsrGraph& graph,
+                             const FeatureMatrix& features,
+                             uint32_t num_layers);
 
 /// Factory used by the trainers and benches: workers == 0 yields the
 /// inline source, otherwise the async source. All arguments as on the

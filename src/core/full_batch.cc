@@ -1,56 +1,40 @@
 #include "core/full_batch.h"
 
-#include "common/logging.h"
+#include <vector>
+
+#include "common/telemetry.h"
+#include "core/attribution.h"
 #include "core/batch_source.h"
-#include "core/convergence.h"
 #include "core/costs.h"
+#include "core/metrics.h"
 #include "core/trainer.h"
 #include "graph/csr_graph.h"
 #include "graph/dataset.h"
 #include "nn/model.h"
 #include "nn/optimizer.h"
+#include "sampling/sampled_subgraph.h"
 #include "tensor/ops.h"
 #include "tensor/tensor.h"
+#include "transfer/pipeline.h"
 
 namespace gnndm {
 
 FullBatchTrainer::FullBatchTrainer(const Dataset& dataset,
                                    const TrainerConfig& config)
-    : dataset_(dataset), config_(config) {
-  ModelConfig model_config;
-  model_config.in_dim = dataset.features.dim();
-  model_config.hidden_dim = config.hidden_dim;
-  model_config.num_classes = dataset.num_classes;
-  model_config.num_conv_layers = config.num_conv_layers;
-  model_config.num_mlp_layers = config.num_mlp_layers;
-  model_config.dropout = config.dropout;
-  model_config.seed = config.seed ^ 0x40DE1u;
-  model_ = MakeModel(config.model, model_config);
-  GNNDM_CHECK(model_ != nullptr);
-  optimizer_ = std::make_unique<Adam>(
-      model_->Parameters(), config.learning_rate, /*beta1=*/0.9f,
-      /*beta2=*/0.999f, /*epsilon=*/1e-8f, config.weight_decay);
-
-  // The full-graph "subgraph" (identity levels over the full adjacency,
-  // all features gathered) is just the one-batch case of the shared batch
-  // data plane: FullBatchSource materializes it, this trainer keeps it
-  // resident across epochs.
-  FullBatchSource source(dataset.graph, dataset.features,
-                         model_->num_hops());
-  std::optional<PreparedBatch> batch = source.Next();
-  GNNDM_CHECK(batch.has_value());
-  full_graph_ = std::move(batch->subgraph);
-  input_ = std::move(batch->input);
-}
+    : TrainerBase(dataset, config),
+      full_graph_(FullGraphBatch(dataset.graph, dataset.features,
+                                 model_->num_hops())) {}
 
 EpochStats FullBatchTrainer::TrainEpoch() {
+  TRACE_SPAN("trainer.epoch");
   EpochStats stats;
   stats.epoch = epoch_;
   stats.batch_size = dataset_.graph.num_vertices();  // "full"
   stats.involved_vertices =
       static_cast<uint64_t>(dataset_.graph.num_vertices()) *
       (model_->num_hops() + 1);
-  stats.involved_edges = full_graph_.TotalEdges();
+  const SampledSubgraph& sg = full_graph_.subgraph;
+  stats.involved_edges = sg.TotalEdges();
 
   // Features live on the GPU across epochs in full-batch systems; charge
   // one DMA of the whole matrix per epoch as an amortized upper bound.
@@ -61,61 +45,60 @@ EpochStats FullBatchTrainer::TrainEpoch() {
   stats.bytes_transferred = feature_bytes;
   stats.rows_requested = dataset_.graph.num_vertices();
 
-  const Tensor& logits = model_->Forward(full_graph_, input_, true);
+  BatchAttribution attrib;
+  {
+    TRACE_SPAN("trainer.nn", 0, &attrib.wall_compute);
+    const Tensor& logits = model_->Forward(sg, full_graph_.input, true);
 
-  // Mask the loss to the training vertices: gather their logit rows,
-  // compute the loss there, scatter gradients back.
-  const auto& train = dataset_.split.train;
-  Tensor train_logits(train.size(), logits.cols());
-  std::vector<int32_t> labels(train.size());
-  for (size_t i = 0; i < train.size(); ++i) {
-    auto src = logits.row(train[i]);
-    auto dst = train_logits.row(i);
-    for (size_t c = 0; c < logits.cols(); ++c) dst[c] = src[c];
-    labels[i] = dataset_.labels[train[i]];
+    // Mask the loss to the training vertices: gather their logit rows,
+    // compute the loss there, scatter gradients back.
+    const auto& train = dataset_.split.train;
+    Tensor train_logits(train.size(), logits.cols());
+    std::vector<int32_t> labels(train.size());
+    for (size_t i = 0; i < train.size(); ++i) {
+      auto src = logits.row(train[i]);
+      auto dst = train_logits.row(i);
+      for (size_t c = 0; c < logits.cols(); ++c) dst[c] = src[c];
+      labels[i] = dataset_.labels[train[i]];
+    }
+    Tensor train_grad;
+    stats.train_loss = SoftmaxCrossEntropy(train_logits, labels, train_grad);
+    Tensor d_logits(logits.rows(), logits.cols());
+    for (size_t i = 0; i < train.size(); ++i) {
+      auto src = train_grad.row(i);
+      auto dst = d_logits.row(train[i]);
+      for (size_t c = 0; c < logits.cols(); ++c) dst[c] = src[c];
+    }
+    model_->Backward(sg, d_logits);
   }
-  Tensor train_grad;
-  stats.train_loss = SoftmaxCrossEntropy(train_logits, labels, train_grad);
-  Tensor d_logits(logits.rows(), logits.cols());
-  for (size_t i = 0; i < train.size(); ++i) {
-    auto src = train_grad.row(i);
-    auto dst = d_logits.row(train[i]);
-    for (size_t c = 0; c < logits.cols(); ++c) dst[c] = src[c];
+  {
+    TRACE_SPAN("trainer.optimizer", 0, &attrib.wall_optimizer);
+    optimizer_->Step();
   }
-  model_->Backward(full_graph_, d_logits);
-  optimizer_->Step();
 
-  stats.nn_seconds = config_.device.NnStepSeconds(
-      EstimateGnnFlops(full_graph_, dataset_.features.dim(),
-                       config_.hidden_dim, dataset_.num_classes,
-                       config_.num_mlp_layers),
+  // The epoch is one batch: no sampling, the feature load, the step.
+  StageTimes times;
+  times.load = stats.load_seconds;
+  times.data_transfer = times.load;
+  times.nn_compute = config_.device.NnStepSeconds(
+      EstimateGnnFlops(sg, dataset_.features.dim(), config_.hidden_dim,
+                       dataset_.num_classes, config_.num_mlp_layers),
       config_.num_conv_layers + config_.num_mlp_layers);
-  stats.epoch_seconds = stats.load_seconds + stats.nn_seconds;
-  total_seconds_ += stats.epoch_seconds;
-  ++epoch_;
+  attrib.load = times.load;
+  attrib.compute = times.nn_compute;
+  ClosePipelinedEpoch({times}, {attrib}, stats);
   return stats;
 }
 
-double FullBatchTrainer::Evaluate(const std::vector<VertexId>& vertices) {
-  if (vertices.empty()) return 0.0;
-  const Tensor& logits = model_->Forward(full_graph_, input_, false);
-  std::vector<int32_t> preds = ArgmaxRows(logits);
-  uint64_t correct = 0;
-  for (VertexId v : vertices) {
-    if (preds[v] == dataset_.labels[v]) ++correct;
-  }
-  return static_cast<double>(correct) / static_cast<double>(vertices.size());
-}
-
-const ConvergenceTracker& FullBatchTrainer::TrainToConvergence(
-    uint32_t max_epochs, uint32_t patience) {
-  for (uint32_t e = 0; e < max_epochs; ++e) {
-    EpochStats stats = TrainEpoch();
-    const double val_acc = Evaluate(dataset_.split.val);
-    tracker_.Record(stats.epoch, total_seconds_, val_acc, stats.train_loss);
-    if (tracker_.Converged(patience)) break;
-  }
-  return tracker_;
+ClassificationMetrics FullBatchTrainer::EvaluateDetailed(
+    const std::vector<VertexId>& vertices) {
+  ClassificationMetrics metrics(dataset_.num_classes);
+  if (vertices.empty()) return metrics;
+  const Tensor& logits =
+      model_->Forward(full_graph_.subgraph, full_graph_.input, false);
+  const std::vector<int32_t> preds = ArgmaxRows(logits);
+  for (VertexId v : vertices) metrics.Add(preds[v], dataset_.labels[v]);
+  return metrics;
 }
 
 uint64_t FullBatchTrainer::PeakMemoryBytes() const {
@@ -124,9 +107,9 @@ uint64_t FullBatchTrainer::PeakMemoryBytes() const {
   // One activation matrix per conv layer plus logits, all |V| rows.
   bytes += n * config_.hidden_dim * sizeof(float) * config_.num_conv_layers;
   bytes += n * dataset_.num_classes * sizeof(float);
-  bytes += full_graph_.layers.empty()
-               ? 0
-               : full_graph_.layers[0].num_edges() * 8;  // adjacency
+  const SampledSubgraph& sg = full_graph_.subgraph;
+  // The adjacency, 8 bytes per edge.
+  bytes += sg.layers.empty() ? 0 : sg.layers[0].num_edges() * 8;
   return bytes;
 }
 

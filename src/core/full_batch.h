@@ -2,17 +2,13 @@
 #define GNNDM_CORE_FULL_BATCH_H_
 
 #include <cstdint>
-#include <memory>
+#include <vector>
 
-#include "core/convergence.h"
+#include "core/batch_source.h"
+#include "core/metrics.h"
 #include "core/trainer.h"
 #include "graph/csr_graph.h"
 #include "graph/dataset.h"
-#include "nn/model.h"
-#include "nn/optimizer.h"
-#include "sampling/sampled_subgraph.h"
-#include "tensor/tensor.h"
-#include "transfer/device_model.h"
 
 namespace gnndm {
 
@@ -23,10 +19,16 @@ namespace gnndm {
 /// per-update bookkeeping but one update per epoch, activations for the
 /// whole graph resident in GPU memory, and poor scalability — which is
 /// why sample-based mini-batch training won (§6.2).
-class FullBatchTrainer {
+///
+/// An epoch is one batch, FullGraphBatch, to the shared TrainerBase
+/// machinery: one StageTimes / BatchAttribution record under the same
+/// trainer.epoch, trainer.nn and trainer.optimizer spans as a mini-batch
+/// step, closed through the same pipeline schedule and attribution.
+class FullBatchTrainer : public TrainerBase {
  public:
-  /// Uses `config.model`, dims, learning rate; batch/sampling fields are
-  /// ignored (full batch has neither).
+  /// Uses `config.model`, dims, learning rate, num_threads and pipeline;
+  /// batch-selection, sampling and cache fields are ignored (full batch
+  /// has none), but `config.hops` must still match the model's hops.
   FullBatchTrainer(const Dataset& dataset, const TrainerConfig& config);
 
   /// One full-graph forward/backward/update. EpochStats fields:
@@ -35,29 +37,20 @@ class FullBatchTrainer {
   /// layer.
   EpochStats TrainEpoch();
 
-  double Evaluate(const std::vector<VertexId>& vertices);
-
-  const ConvergenceTracker& TrainToConvergence(uint32_t max_epochs,
-                                               uint32_t patience = 10);
+  /// Full-graph inference: one forward over every vertex, read out at
+  /// `vertices`.
+  ClassificationMetrics EvaluateDetailed(
+      const std::vector<VertexId>& vertices) override;
 
   /// Estimated peak device memory: features + per-layer activations for
   /// the entire graph — the full-batch scalability bottleneck.
   uint64_t PeakMemoryBytes() const;
 
-  GnnModel& model() { return *model_; }
-  const ConvergenceTracker& tracker() const { return tracker_; }
-  double total_virtual_seconds() const { return total_seconds_; }
+ protected:
+  double RunEpoch() override { return TrainEpoch().train_loss; }
 
  private:
-  const Dataset& dataset_;
-  TrainerConfig config_;
-  std::unique_ptr<GnnModel> model_;
-  std::unique_ptr<Optimizer> optimizer_;
-  SampledSubgraph full_graph_;  // identity levels + full adjacency
-  Tensor input_;                // all vertex features, staged once
-  ConvergenceTracker tracker_;
-  double total_seconds_ = 0.0;
-  uint32_t epoch_ = 0;
+  PreparedBatch full_graph_;  // identity levels + full adjacency, staged once
 };
 
 }  // namespace gnndm

@@ -106,6 +106,50 @@ EpochAttribution TrainerBase::FinishEpoch(
   return attribution;
 }
 
+void TrainerBase::ClosePipelinedEpoch(
+    const std::vector<StageTimes>& stage_times,
+    const std::vector<BatchAttribution>& batches, EpochStats& stats) {
+  PipelineResult pipeline = SimulatePipeline(stage_times, config_.pipeline);
+  stats.epoch_seconds = pipeline.total_seconds;
+  stats.batch_prep_seconds = pipeline.bp_busy;
+  stats.nn_seconds = pipeline.nn_busy;
+  // Replay the simulated schedule as virtual-clock spans, offset by the
+  // cumulative clock so consecutive epochs concatenate on the timeline.
+  // Durations are the exact StageTimes doubles accumulated into stats
+  // above, so per-stage span sums reconcile bit-for-bit with EpochStats.
+  if (telemetry::Enabled() && telemetry::Tracer::Get().active()) {
+    telemetry::Tracer& tracer = telemetry::Tracer::Get();
+    const double origin = total_seconds_;
+    for (size_t i = 0; i < stage_times.size(); ++i) {
+      const StageSchedule& slot = pipeline.schedule[i];
+      const StageTimes& t = stage_times[i];
+      const auto b = static_cast<int64_t>(i);
+      tracer.AddVirtualSpan("trainer.bp", origin + slot.bp_begin,
+                            t.batch_prep, telemetry::kLaneBp, b);
+      tracer.AddVirtualSpan("trainer.extract", origin + slot.dt_begin,
+                            t.extract, telemetry::kLaneDt, b);
+      tracer.AddVirtualSpan("trainer.load",
+                            origin + slot.dt_begin + t.extract, t.load,
+                            telemetry::kLaneDt, b);
+      tracer.AddVirtualSpan("trainer.nn", origin + slot.nn_begin,
+                            t.nn_compute, telemetry::kLaneNn, b);
+    }
+  }
+  stats.attribution = FinishEpoch(batches, stats.epoch_seconds);
+}
+
+const ConvergenceTracker& TrainerBase::TrainToConvergence(uint32_t max_epochs,
+                                                          uint32_t patience) {
+  for (uint32_t e = 0; e < max_epochs; ++e) {
+    const uint32_t epoch = epoch_;
+    const double train_loss = RunEpoch();
+    const double val_acc = Evaluate(dataset_.split.val);
+    tracker_.Record(epoch, total_seconds_, val_acc, train_loss);
+    if (tracker_.Converged(patience)) break;
+  }
+  return tracker_;
+}
+
 double TrainerBase::Evaluate(const std::vector<VertexId>& vertices) {
   return EvaluateDetailed(vertices).Accuracy();
 }
@@ -182,36 +226,10 @@ EpochStats Trainer::TrainEpoch() {
     stage_times.push_back(ConsumeTrainingBatch(*prepared, stats, attrib));
     batch_attribs.push_back(attrib);
   }
-  PipelineResult pipeline = SimulatePipeline(stage_times, config_.pipeline);
-  stats.epoch_seconds = pipeline.total_seconds;
-  stats.batch_prep_seconds = pipeline.bp_busy;
-  stats.nn_seconds = pipeline.nn_busy;
-  // Replay the simulated schedule as virtual-clock spans, offset by the
-  // cumulative clock so consecutive epochs concatenate on the timeline.
-  // Durations are the exact StageTimes doubles accumulated into stats
-  // above, so per-stage span sums reconcile bit-for-bit with EpochStats.
-  if (telemetry::Enabled() && telemetry::Tracer::Get().active()) {
-    telemetry::Tracer& tracer = telemetry::Tracer::Get();
-    const double origin = total_seconds_;
-    for (size_t i = 0; i < stage_times.size(); ++i) {
-      const StageSchedule& slot = pipeline.schedule[i];
-      const StageTimes& t = stage_times[i];
-      const auto b = static_cast<int64_t>(i);
-      tracer.AddVirtualSpan("trainer.bp", origin + slot.bp_begin,
-                            t.batch_prep, telemetry::kLaneBp, b);
-      tracer.AddVirtualSpan("trainer.extract", origin + slot.dt_begin,
-                            t.extract, telemetry::kLaneDt, b);
-      tracer.AddVirtualSpan("trainer.load",
-                            origin + slot.dt_begin + t.extract, t.load,
-                            telemetry::kLaneDt, b);
-      tracer.AddVirtualSpan("trainer.nn", origin + slot.nn_begin,
-                            t.nn_compute, telemetry::kLaneNn, b);
-    }
-  }
   if (!dataset_.split.train.empty()) {
     stats.train_loss /= static_cast<double>(dataset_.split.train.size());
   }
-  stats.attribution = FinishEpoch(batch_attribs, stats.epoch_seconds);
+  ClosePipelinedEpoch(stage_times, batch_attribs, stats);
   return stats;
 }
 
@@ -219,17 +237,6 @@ std::pair<double, double> Trainer::EvaluateByDegree(
     const std::vector<VertexId>& vertices) {
   DegreeClasses classes = SplitByDegree(dataset_.graph, vertices);
   return {Evaluate(classes.low), Evaluate(classes.high)};
-}
-
-const ConvergenceTracker& Trainer::TrainToConvergence(uint32_t max_epochs,
-                                                      uint32_t patience) {
-  for (uint32_t e = 0; e < max_epochs; ++e) {
-    EpochStats stats = TrainEpoch();
-    const double val_acc = Evaluate(dataset_.split.val);
-    tracker_.Record(stats.epoch, total_seconds_, val_acc, stats.train_loss);
-    if (tracker_.Converged(patience)) break;
-  }
-  return tracker_;
 }
 
 }  // namespace gnndm

@@ -110,20 +110,30 @@ struct EpochStats {
   EpochAttribution attribution;
 };
 
-/// What Trainer and DistTrainer share. The constructor builds, the same
-/// way for both, everything a TrainerConfig determines: the process-wide
-/// compute-thread count, the sampler, the model and its Adam optimizer,
-/// the transfer engine, and the BatchConsumer tail over them. Both
-/// trainers draw every epoch's batches from one BatchSource
-/// (EpochSource) and evaluate through BatchConsumer::Evaluate.
+/// What Trainer, DistTrainer and FullBatchTrainer share. The constructor
+/// builds, the same way for all three, everything a TrainerConfig
+/// determines: the process-wide compute-thread count, the sampler, the
+/// model and its Adam optimizer, the transfer engine, and the
+/// BatchConsumer tail over them. The mini-batch trainers draw every
+/// epoch's batches from one BatchSource (EpochSource) and evaluate
+/// through BatchConsumer::Evaluate; every trainer closes each epoch
+/// through FinishEpoch and converges through the one TrainToConvergence.
 class TrainerBase {
  public:
-  /// Sampled-inference accuracy over `vertices` (e.g. the val split).
+  /// Trains until Converged(patience) or `max_epochs`, recording the
+  /// validation trajectory. Returns the tracker.
+  const ConvergenceTracker& TrainToConvergence(uint32_t max_epochs,
+                                               uint32_t patience = 10);
+
+  /// Accuracy over `vertices` (e.g. the val split):
+  /// EvaluateDetailed(vertices).Accuracy().
   double Evaluate(const std::vector<VertexId>& vertices);
 
   /// Full per-class metrics (confusion matrix, precision/recall/F1) over
-  /// `vertices` — the machinery behind Table 7-style breakdowns.
-  ClassificationMetrics EvaluateDetailed(
+  /// `vertices` — the machinery behind Table 7-style breakdowns. Sampled
+  /// inference through BatchConsumer::Evaluate unless a trainer infers
+  /// otherwise.
+  virtual ClassificationMetrics EvaluateDetailed(
       const std::vector<VertexId>& vertices);
 
   /// The model being trained: what a checkpoint saves and restores.
@@ -159,11 +169,24 @@ class TrainerBase {
   std::unique_ptr<BatchSource> EpochSource(
       std::vector<std::vector<VertexId>> batches) const;
 
+  /// One training epoch, as TrainToConvergence runs it: returns the
+  /// epoch's training loss.
+  virtual double RunEpoch() = 0;
+
   /// Closes an epoch: aggregates `batches` (delivery order) into its
   /// stall attribution, records it and `batches`, publishes it, and
   /// advances the virtual clock and the epoch counter.
   EpochAttribution FinishEpoch(const std::vector<BatchAttribution>& batches,
                                double epoch_seconds);
+
+  /// Closes a single-device epoch whose batches took `stage_times` and
+  /// left `batches` (both in delivery order): schedules them through
+  /// config_.pipeline into stats' epoch, batch-prep and NN seconds,
+  /// replays the schedule as virtual spans, and finishes the epoch into
+  /// stats.attribution.
+  void ClosePipelinedEpoch(const std::vector<StageTimes>& stage_times,
+                           const std::vector<BatchAttribution>& batches,
+                           EpochStats& stats);
 
   const Dataset& dataset_;
   TrainerConfig config_;
@@ -192,17 +215,15 @@ class Trainer : public TrainerBase {
   /// appends virtual time to the cumulative clock.
   EpochStats TrainEpoch();
 
-  /// Trains until Converged(patience) or `max_epochs`, recording the
-  /// validation trajectory. Returns the tracker.
-  const ConvergenceTracker& TrainToConvergence(uint32_t max_epochs,
-                                               uint32_t patience = 10);
-
   uint32_t epochs_run() const { return epoch_; }
 
   /// Per-degree-class accuracy (Table 7): evaluates `vertices` split at
   /// the median degree. Returns {low_acc, high_acc}.
   std::pair<double, double> EvaluateByDegree(
       const std::vector<VertexId>& vertices);
+
+ protected:
+  double RunEpoch() override { return TrainEpoch().train_loss; }
 
  private:
   /// Consumes one prepared batch through the shared BatchConsumer tail,

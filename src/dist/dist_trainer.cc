@@ -13,7 +13,6 @@
 #include "core/attribution.h"
 #include "core/batch_consumer.h"
 #include "core/batch_source.h"
-#include "core/convergence.h"
 #include "core/trainer.h"
 #include "dist/network_model.h"
 #include "graph/csr_graph.h"
@@ -43,9 +42,6 @@ DistTrainer::DistTrainer(const Dataset& dataset,
   for (uint32_t p = 0; p < partition_.num_parts; ++p) {
     Worker& w = workers_[p];
     w.local_train = partition_.Filter(dataset.split.train, p);
-    if (p < partition_.halo.size()) {
-      w.halo.insert(partition_.halo[p].begin(), partition_.halo[p].end());
-    }
     w.rng = rng_.Fork();
     // Per-worker GPU feature cache, sized by the global ratio and
     // populated from this worker's own access pattern (SALIENT++ style).
@@ -72,10 +68,8 @@ double DistTrainer::RunWorkerBatch(uint32_t worker,
   std::vector<uint8_t> contacted(partition_.num_parts, 0);
   uint32_t peers = 0;
   auto remote = [&](VertexId v) {
+    if (partition_.IsLocal(v, worker)) return false;
     const uint32_t owner = partition_.assignment[v];
-    if (owner == worker || (!w.halo.empty() && w.halo.count(v) > 0)) {
-      return false;
-    }
     if (!contacted[owner]) {
       contacted[owner] = 1;
       ++peers;
@@ -248,17 +242,6 @@ DistEpochStats DistTrainer::TrainEpoch() {
   }
   stats.attribution = FinishEpoch(batch_attribs, stats.epoch_seconds);
   return stats;
-}
-
-const ConvergenceTracker& DistTrainer::TrainToConvergence(
-    uint32_t max_epochs, uint32_t patience) {
-  for (uint32_t e = 0; e < max_epochs; ++e) {
-    DistEpochStats stats = TrainEpoch();
-    const double val_acc = Evaluate(dataset_.split.val);
-    tracker_.Record(stats.epoch, total_seconds_, val_acc, stats.train_loss);
-    if (tracker_.Converged(patience)) break;
-  }
-  return tracker_;
 }
 
 }  // namespace gnndm

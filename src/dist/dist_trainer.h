@@ -2,13 +2,11 @@
 #define GNNDM_DIST_DIST_TRAINER_H_
 
 #include <cstdint>
-#include <unordered_set>
 #include <vector>
 
 #include "common/rng.h"
 #include "core/attribution.h"
 #include "core/batch_source.h"
-#include "core/convergence.h"
 #include "core/trainer.h"
 #include "dist/network_model.h"
 #include "graph/csr_graph.h"
@@ -61,15 +59,15 @@ class DistTrainer : public TrainerBase {
               const TrainerConfig& config, const NetworkModel& network = {});
 
   DistEpochStats TrainEpoch();
-  const ConvergenceTracker& TrainToConvergence(uint32_t max_epochs,
-                                               uint32_t patience = 10);
 
   uint32_t num_workers() const { return partition_.num_parts; }
+
+ protected:
+  double RunEpoch() override { return TrainEpoch().train_loss; }
 
  private:
   struct Worker {
     std::vector<VertexId> local_train;
-    std::unordered_set<VertexId> halo;
     /// Per-worker GPU feature cache (SALIENT++/Legion combine distributed
     /// training with caching); built from the worker's own training
     /// vertices when config.cache_policy is set.

@@ -1,7 +1,5 @@
 #include "partition/analyzer.h"
 
-#include <algorithm>
-
 #include "batch/batch_selector.h"
 #include "common/logging.h"
 #include "common/rng.h"
@@ -87,20 +85,6 @@ PartitionLoadReport AnalyzePartition(const CsrGraph& graph,
   PartitionLoadReport report;
   report.machines.resize(parts);
 
-  // Halo membership for halo-aware locality checks: sorted copies probed
-  // by binary search — no hash-table state, identical cost profile every
-  // run, and nothing order-unstable to iterate.
-  std::vector<std::vector<VertexId>> halo(parts);
-  for (uint32_t p = 0; p < partition.halo.size() && p < parts; ++p) {
-    halo[p] = partition.halo[p];
-    std::sort(halo[p].begin(), halo[p].end());
-  }
-  auto is_local = [&](VertexId v, uint32_t p) {
-    return partition.assignment[v] == p ||
-           (p < halo.size() &&
-            std::binary_search(halo[p].begin(), halo[p].end(), v));
-  };
-
   Rng rng(options.seed);
   RandomBatchSelector selector;
   for (uint32_t p = 0; p < parts; ++p) {
@@ -118,7 +102,7 @@ PartitionLoadReport AnalyzePartition(const CsrGraph& graph,
         for (uint32_t i = 0; i < layer.num_dst; ++i) {
           const VertexId dst = dst_ids[i];
           const uint64_t edges = layer.offsets[i + 1] - layer.offsets[i];
-          if (is_local(dst, p)) {
+          if (partition.IsLocal(dst, p)) {
             report.machines[p].local_sampling += edges;
           } else {
             const uint32_t owner = partition.assignment[dst];
@@ -135,7 +119,7 @@ PartitionLoadReport AnalyzePartition(const CsrGraph& graph,
 
       // Remote input features are fetched from their owners.
       for (VertexId v : sg.input_vertices()) {
-        if (!is_local(v, p)) {
+        if (!partition.IsLocal(v, p)) {
           const uint32_t owner = partition.assignment[v];
           report.machines[owner].bytes_out += options.feature_bytes;
           report.machines[p].bytes_in += options.feature_bytes;

@@ -28,9 +28,12 @@ Status PartitionResult::Validate(VertexId num_vertices) const {
     return Status::Internal("partition: halo list count != num_parts");
   }
   for (const auto& part_halo : halo) {
-    for (VertexId v : part_halo) {
-      if (v >= num_vertices) {
+    for (size_t i = 0; i < part_halo.size(); ++i) {
+      if (part_halo[i] >= num_vertices) {
         return Status::Internal("partition: halo vertex out of range");
+      }
+      if (i > 0 && part_halo[i] <= part_halo[i - 1]) {
+        return Status::Internal("partition: halo not sorted and unique");
       }
     }
   }

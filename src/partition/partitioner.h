@@ -1,6 +1,7 @@
 #ifndef GNNDM_PARTITION_PARTITIONER_H_
 #define GNNDM_PARTITION_PARTITIONER_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -19,11 +20,13 @@ struct PartitionResult {
   uint32_t num_parts = 0;
   /// Wall-clock seconds spent partitioning (Fig 6's x-axis ingredient).
   double seconds = 0.0;
-  /// Optional per-partition replicated "halo" vertices: vertices whose
-  /// graph structure AND features are cached locally in addition to the
-  /// owned set. Stream-V (PaGraph) fills this with the L-hop neighborhood
-  /// of each partition's training vertices, which is why it needs no
-  /// remote traffic during training (§5.3.2). Empty for other methods.
+  /// Optional per-partition replicated "halo" vertices, each list sorted
+  /// and unique: vertices whose graph structure AND features are cached
+  /// locally in addition to the owned set. Stream-V (PaGraph) fills this
+  /// with the L-hop neighborhood of each partition's training vertices,
+  /// which is why it needs no remote traffic during training (§5.3.2),
+  /// and edge-hash with the endpoints of each part's edges. Empty for
+  /// other methods.
   std::vector<std::vector<VertexId>> halo;
   /// Vertex-balance tolerance the producing method guarantees: every
   /// partition owns at most (1 + balance_epsilon) * |V| / num_parts
@@ -33,10 +36,20 @@ struct PartitionResult {
 
   /// Invariant check: every vertex of a `num_vertices`-vertex graph is
   /// assigned to exactly one existing partition (assignment is total and
-  /// in range), halo ids are in range, and — when the method declared a
-  /// `balance_epsilon` — per-partition vertex counts respect it. Every
-  /// partitioner runs this on its result under GNNDM_DCHECK.
+  /// in range), each halo is sorted, unique and in range, and — when the
+  /// method declared a `balance_epsilon` — per-partition vertex counts
+  /// respect it. Every partitioner runs this on its result under
+  /// GNNDM_DCHECK.
   [[nodiscard]] Status Validate(VertexId num_vertices) const;
+
+  /// The one locality rule: partition `part` holds vertex `v` when it
+  /// owns it or caches it in its halo (a binary search). Inline: the
+  /// distributed trainer asks it for every sampled vertex.
+  bool IsLocal(VertexId v, uint32_t part) const {
+    return assignment[v] == part ||
+           (part < halo.size() &&
+            std::binary_search(halo[part].begin(), halo[part].end(), v));
+  }
 
   /// Vertices owned by partition `p`.
   std::vector<VertexId> PartitionVertices(uint32_t p) const;

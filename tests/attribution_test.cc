@@ -3,7 +3,7 @@
 // EpochStats, the loader wait-accounting invariants across source kinds
 // (inline / 1 worker / 4 workers), distributed epochs' wall split, and
 // the one-measurement contract (each wall field is its span's duration,
-// and zero with telemetry off).
+// and zero with telemetry off), full-graph epochs included.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -14,6 +14,7 @@
 #include "common/telemetry.h"
 #include "common/telemetry_names.h"
 #include "core/attribution.h"
+#include "core/full_batch.h"
 #include "core/trainer.h"
 #include "dist/dist_trainer.h"
 #include "graph/dataset.h"
@@ -151,20 +152,27 @@ class AttributionTrainerTest : public ::testing::Test {
 
 // The core contract: attribution's virtual sums are the same doubles,
 // added in the same (delivery) order, as the EpochStats accumulators —
-// equal bit for bit, not just within a tolerance.
+// equal bit for bit, not just within a tolerance. A full-graph epoch is
+// one batch to the same accounting.
 TEST_F(AttributionTrainerTest, ReconcilesBitExactWithEpochStats) {
+  const auto expect_reconciles = [](auto& trainer) {
+    for (int e = 0; e < 2; ++e) {
+      EpochStats stats = trainer.TrainEpoch();
+      const EpochAttribution& a = stats.attribution;
+      EXPECT_GT(a.batches, 0u);
+      EXPECT_EQ(a.sample, stats.batch_prep_seconds);
+      EXPECT_EQ(a.extract, stats.extract_seconds);
+      EXPECT_EQ(a.load, stats.load_seconds);
+      EXPECT_EQ(a.compute, stats.nn_seconds);
+      EXPECT_EQ(a.pipeline_seconds, stats.epoch_seconds);
+    }
+    EXPECT_EQ(trainer.attribution_history().size(), 2u);
+  };
   Trainer trainer(dataset_, SmallConfig());
-  for (int e = 0; e < 2; ++e) {
-    EpochStats stats = trainer.TrainEpoch();
-    const EpochAttribution& a = stats.attribution;
-    EXPECT_GT(a.batches, 0u);
-    EXPECT_EQ(a.sample, stats.batch_prep_seconds);
-    EXPECT_EQ(a.extract, stats.extract_seconds);
-    EXPECT_EQ(a.load, stats.load_seconds);
-    EXPECT_EQ(a.compute, stats.nn_seconds);
-    EXPECT_EQ(a.pipeline_seconds, stats.epoch_seconds);
-  }
-  EXPECT_EQ(trainer.attribution_history().size(), 2u);
+  expect_reconciles(trainer);
+  FullBatchTrainer full(dataset_, SmallConfig());
+  expect_reconciles(full);
+  EXPECT_EQ(full.attribution_history().back().batches, 1u);
 }
 
 // Reconciliation is independent of who prepared the batches: the async
@@ -248,16 +256,19 @@ TEST_F(AttributionTrainerTest, DistributedEpochObservesSampleAndGatherWall) {
 
 // One measurement per stage: every wall field of a record is the
 // duration of its batch's span, the same double the trace holds, whether
-// the batch was prepared inline or by a loader worker, single-worker or
-// distributed. A distributed epoch steps once per round and charges the
-// step to the batch that closes the round, so only those records carry
-// an optimizer span; the others keep 0.
+// the batch was prepared inline or by a loader worker, single-worker,
+// distributed or full-graph. A distributed epoch steps once per round
+// and charges the step to the batch that closes the round, so only those
+// records carry an optimizer span; the others keep 0. A full-graph epoch
+// is one batch that no loader prepares: no loader span, and its loader
+// fields keep 0.
 TEST_F(AttributionTrainerTest, WallFieldsAreTheirSpansDurations) {
   telemetry::SetEnabled(true);
   telemetry::Tracer& tracer = telemetry::Tracer::Get();
   const auto expect_spans_match =
       [&tracer](const std::vector<BatchAttribution>& records,
-                bool step_per_batch, bool has_producers) {
+                bool step_per_batch, bool has_producers,
+                bool has_loader = true) {
         std::map<std::pair<std::string, int64_t>, double> span_seconds;
         for (const telemetry::TraceEvent& e : tracer.Snapshot()) {
           if (e.domain != telemetry::ClockDomain::kWall || e.batch < 0) {
@@ -274,8 +285,15 @@ TEST_F(AttributionTrainerTest, WallFieldsAreTheirSpansDurations) {
             const auto it = span_seconds.find({name, r.index});
             return it == span_seconds.end() ? -1.0 : it->second;
           };
-          EXPECT_EQ(r.wall_sample, seconds("loader.sample")) << r.index;
-          EXPECT_EQ(r.wall_gather, seconds("loader.gather")) << r.index;
+          if (has_loader) {
+            EXPECT_EQ(r.wall_sample, seconds("loader.sample")) << r.index;
+            EXPECT_EQ(r.wall_gather, seconds("loader.gather")) << r.index;
+          } else {
+            EXPECT_EQ(seconds("loader.sample"), -1.0) << r.index;
+            EXPECT_EQ(seconds("loader.gather"), -1.0) << r.index;
+            EXPECT_EQ(r.wall_sample, 0.0) << r.index;
+            EXPECT_EQ(r.wall_gather, 0.0) << r.index;
+          }
           EXPECT_EQ(r.wall_compute, seconds("trainer.nn")) << r.index;
           const double step = seconds("trainer.optimizer");
           if (step >= 0.0) ++steps;
@@ -312,6 +330,12 @@ TEST_F(AttributionTrainerTest, WallFieldsAreTheirSpansDurations) {
     tracer.Stop();
     expect_spans_match(dist.last_epoch_batches(), false, workers > 0);
   }
+  FullBatchTrainer full(dataset_, SmallConfig());
+  tracer.Start();
+  full.TrainEpoch();
+  tracer.Stop();
+  expect_spans_match(full.last_epoch_batches(), true, false,
+                     /*has_loader=*/false);
   telemetry::SetEnabled(false);
 }
 

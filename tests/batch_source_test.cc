@@ -165,23 +165,21 @@ TEST_F(BatchSourceTest, ShutdownMidEpochWithFullReorderBuffer) {
   // Destructor runs here with undelivered batches and parked producers.
 }
 
-TEST_F(BatchSourceTest, FullBatchSourceDeliversWholeGraphOnce) {
-  FullBatchSource source(dataset_.graph, dataset_.features,
-                         /*num_layers=*/2);
-  EXPECT_EQ(source.num_batches(), 1u);
-  auto batch = source.Next();
-  ASSERT_TRUE(batch.has_value());
+TEST_F(BatchSourceTest, FullGraphBatchIsTheWholeGraph) {
+  const PreparedBatch batch = FullGraphBatch(
+      dataset_.graph, dataset_.features, /*num_layers=*/2);
   const VertexId n = dataset_.graph.num_vertices();
-  ASSERT_EQ(batch->subgraph.node_ids.size(), 3u);
-  for (const auto& ids : batch->subgraph.node_ids) {
+  EXPECT_EQ(batch.index, 0u);
+  EXPECT_EQ(batch.seeds.size(), n);
+  ASSERT_EQ(batch.subgraph.node_ids.size(), 3u);
+  for (const auto& ids : batch.subgraph.node_ids) {
     EXPECT_EQ(ids.size(), n);
   }
-  ASSERT_EQ(batch->subgraph.layers.size(), 2u);
-  EXPECT_EQ(batch->subgraph.layers[0].neighbors.size(),
+  ASSERT_EQ(batch.subgraph.layers.size(), 2u);
+  EXPECT_EQ(batch.subgraph.layers[0].neighbors.size(),
             dataset_.graph.num_edges());
-  EXPECT_EQ(batch->input.rows(), n);
-  EXPECT_EQ(batch->input.rows(), batch->subgraph.input_vertices().size());
-  EXPECT_FALSE(source.Next().has_value());
+  EXPECT_EQ(batch.input.rows(), n);
+  EXPECT_EQ(batch.input.rows(), batch.subgraph.input_vertices().size());
 }
 
 ModelConfig SmallModelConfig() {

@@ -296,6 +296,16 @@ TEST(FlagsTest, PositiveListSkipsInvalidEntries) {
   EXPECT_EQ(flags.GetPositiveList("missing", "2,4"),
             (std::vector<uint32_t>{2, 4}));
   EXPECT_TRUE(flags.GetPositiveList("missing", "").empty());
+  // The skipped entries, in order, for a caller that rejects them.
+  std::vector<std::string> rejected;
+  EXPECT_EQ(flags.GetPositiveList("threads", "", &rejected),
+            (std::vector<uint32_t>{4, 8}));
+  EXPECT_EQ(rejected, (std::vector<std::string>{"-2", "", "abc", "0", "3x",
+                                                "4294967296"}));
+  rejected.clear();
+  EXPECT_EQ(flags.GetPositiveList("missing", "25,10", &rejected),
+            (std::vector<uint32_t>{25, 10}));
+  EXPECT_TRUE(rejected.empty());
 }
 
 // json::Parse builds what JsonLint only checks: one grammar, two modes.

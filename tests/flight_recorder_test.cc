@@ -1,15 +1,18 @@
 // Tests for the crash flight recorder (common/flight_recorder.h): ring
-// semantics, dump schema and well-formedness, span events stamped with
-// the tracer's own readings, post-mortem gating, and the end-to-end
-// death test — a GNNDM_CHECK tripped mid-epoch must leave a post-mortem
-// naming the in-flight batch and the failing thread's last pipeline
-// spans.
+// semantics, dump schema and well-formedness, the time-ordered merge of
+// the rings, span events stamped with the tracer's own readings,
+// post-mortem gating, and the two death tests — a GNNDM_CHECK tripped
+// mid-epoch must leave a post-mortem naming the in-flight batch and the
+// failing thread's last pipeline spans, and a fatal signal one naming
+// the signal.
 #include <gtest/gtest.h>
 
+#include <csignal>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "batch/batch_selector.h"
@@ -128,6 +131,29 @@ TEST_F(FlightRecorderTest, SpanEventsCarryTheTracersReadings) {
   EXPECT_EQ(sink, seconds);
 }
 
+// Each thread's ring is already in time order; the dump merges the rings
+// into one time-ordered event list.
+TEST_F(FlightRecorderTest, DumpMergesThreadRingsInTimeOrder) {
+  using flight_recorder::EventKind;
+  flight_recorder::Record(EventKind::kSpanBegin, "test.merge.a0", 0, 10);
+  std::thread other([] {
+    flight_recorder::Record(EventKind::kSpanBegin, "test.merge.b0", 1, 20);
+    flight_recorder::Record(EventKind::kSpanBegin, "test.merge.b1", 1, 40);
+  });
+  other.join();
+  flight_recorder::Record(EventKind::kSpanBegin, "test.merge.a1", 0, 30);
+  const std::string json = flight_recorder::DumpJson("merge");
+  ASSERT_TRUE(telemetry::JsonLint(json).ok()) << json;
+  const size_t a0 = json.find("test.merge.a0");
+  const size_t b0 = json.find("test.merge.b0");
+  const size_t a1 = json.find("test.merge.a1");
+  const size_t b1 = json.find("test.merge.b1");
+  ASSERT_NE(b1, std::string::npos) << json;
+  EXPECT_LT(a0, b0) << json;
+  EXPECT_LT(b0, a1) << json;
+  EXPECT_LT(a1, b1) << json;
+}
+
 TEST_F(FlightRecorderTest, RingKeepsOnlyTheLastCapacityEvents) {
   // 200 events through a 64-slot ring: the oldest surviving batch is
   // 200 - 64 = 136 and everything older is gone.
@@ -207,6 +233,40 @@ TEST_F(FlightRecorderTest, CheckFailureWritesPipelinePostMortem) {
   EXPECT_NE(body.find("loader.sample"), std::string::npos);
   EXPECT_NE(body.find("loader.gather"), std::string::npos);
   EXPECT_NE(body.find("\"last_batch\": 1"), std::string::npos);
+  std::remove(path.c_str());
+}
+
+// The fatal-signal path: with the crash handlers installed, a SIGSEGV
+// leaves a lint-clean post-mortem that names the signal and the spans
+// recorded before it (names escaped), then the process still dies of the
+// signal.
+TEST_F(FlightRecorderTest, FatalSignalWritesPostMortem) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const std::string path = TempPath("postmortem_signal");
+  std::remove(path.c_str());
+  EXPECT_EXIT(
+      {
+        flight_recorder::SetEnabled(true);
+        flight_recorder::SetPostMortemPath(path);
+        flight_recorder::InstallCrashHandlers();
+        RecordNow(flight_recorder::EventKind::kSpanBegin, "test.signal.outer",
+                  3);
+        RecordNow(flight_recorder::EventKind::kSpanBegin,
+                  "test.signal \"inner\"", 4);
+        std::raise(SIGSEGV);
+      },
+      ::testing::KilledBySignal(SIGSEGV), "");
+  const std::string body = ReadFileOrEmpty(path);
+  ASSERT_FALSE(body.empty()) << "no post-mortem at " << path;
+  EXPECT_TRUE(telemetry::JsonLint(body).ok()) << body;
+  EXPECT_NE(body.find("\"reason\": \"fatal signal " +
+                      std::to_string(SIGSEGV) + "\""),
+            std::string::npos)
+      << body;
+  EXPECT_NE(body.find("test.signal.outer"), std::string::npos);
+  EXPECT_NE(body.find("test.signal \\\"inner\\\""), std::string::npos);
+  EXPECT_NE(body.find("\"last_batch\": 4"), std::string::npos);
+  EXPECT_NE(body.find("\"metrics\": null"), std::string::npos);
   std::remove(path.c_str());
 }
 

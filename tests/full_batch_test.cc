@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include "common/parallel_for.h"
 #include "core/full_batch.h"
+#include "core/metrics.h"
 #include "core/trainer.h"
 #include "graph/dataset.h"
 #include "partition/analyzer.h"
@@ -49,6 +51,29 @@ TEST_F(FullBatchTest, LearnsAboveChance) {
   trainer.TrainToConvergence(/*max_epochs=*/40, /*patience=*/10);
   EXPECT_GT(trainer.tracker().BestAccuracy(),
             2.0 / dataset_.num_classes);
+}
+
+// The constructor is TrainerBase's, so the kernel-threading knob takes
+// effect for full-graph training as it does for the mini-batch trainers.
+TEST_F(FullBatchTest, AppliesNumThreads) {
+  SetComputeThreads(2);
+  TrainerConfig config = config_;
+  config.num_threads = 1;
+  FullBatchTrainer trainer(dataset_, config);
+  EXPECT_EQ(ComputeThreads(), 1u);
+  SetComputeThreads(0);  // back to the environment/hardware default
+}
+
+// Full-graph inference is deterministic, so Evaluate and the detailed
+// metrics read the same accuracy.
+TEST_F(FullBatchTest, EvaluateAgreesWithEvaluateDetailed) {
+  FullBatchTrainer trainer(dataset_, config_);
+  trainer.TrainEpoch();
+  const ClassificationMetrics metrics =
+      trainer.EvaluateDetailed(dataset_.split.val);
+  EXPECT_EQ(metrics.total(), dataset_.split.val.size());
+  EXPECT_EQ(metrics.Accuracy(), trainer.Evaluate(dataset_.split.val));
+  EXPECT_EQ(trainer.EvaluateDetailed({}).total(), 0u);
 }
 
 TEST_F(FullBatchTest, PeakMemoryScalesWithGraph) {

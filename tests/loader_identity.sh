@@ -3,7 +3,8 @@
 # must train the same model whether batches are prepared inline
 # (--loader-workers=0) or by 1/4/8 producer workers at prefetch depths 1
 # and 16, at any compute-thread count and with telemetry on or off,
-# single-worker and distributed (--workers=4) alike. The same holds
+# single-worker and distributed (--workers=4) alike; full-graph training
+# (--full_batch) holds across threads and telemetry too. The same holds
 # across SIMD tiers: a scalar run and an auto run. Every run saves its
 # checkpoint, which must be byte-identical (cmp) to its baseline's, and
 # prints the same training lines. Run by ctest as `loader_cli_identity`.
@@ -43,6 +44,12 @@ run dist_w2_d8 --workers=4 --loader-workers=2 --queue-depth=8
 run dist_w2_t4 --workers=4 --loader-workers=2 --queue-depth=8 --threads=4
 run dist_w2_notelemetry --workers=4 --loader-workers=2 --telemetry=0
 
+# Full-graph training: one batch per epoch, the same model at any
+# compute-thread count and with telemetry on or off.
+run full_baseline --full_batch
+run full_t4 --full_batch --threads=4
+run full_notelemetry --full_batch --telemetry=0
+
 # SIMD tiers: --hidden=48 GraphSAGE GEMMs reach the widest register
 # block (32 columns) and its 16-column edge, which --hidden=16 never does.
 run sage_scalar --model=graphsage --hidden=48 --simd=scalar
@@ -78,9 +85,12 @@ for variant in dist_w0_d1 dist_w0_d8 dist_w2_d1 dist_w2_d8 dist_w2_t4 \
                dist_w2_notelemetry; do
   compare dist_baseline "${variant}"
 done
+for variant in full_t4 full_notelemetry; do
+  compare full_baseline "${variant}"
+done
 compare sage_scalar sage_auto
 
 if [[ ${status} -eq 0 ]]; then
-  echo "PASS: checkpoints and training output byte-identical across loader configurations, telemetry and SIMD tiers"
+  echo "PASS: checkpoints and training output byte-identical across loader configurations, threads, telemetry and SIMD tiers, full-batch included"
 fi
 exit ${status}

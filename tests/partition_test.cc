@@ -6,6 +6,7 @@
 #include <set>
 
 #include "common/rng.h"
+#include "common/status.h"
 #include "common/telemetry.h"
 #include "common/telemetry_names.h"
 #include "graph/csr_graph.h"
@@ -44,6 +45,8 @@ void CheckValid(const PartitionResult& result, VertexId n, uint32_t parts) {
     ++counts[p];
   }
   for (uint64_t c : counts) EXPECT_GT(c, 0u);  // no empty partition
+  const Status status = result.Validate(n);
+  EXPECT_TRUE(status.ok()) << status.ToString();
 }
 
 std::vector<double> TrainCounts(const PartitionResult& result,
@@ -420,6 +423,25 @@ TEST(PartitionResultTest, HelpersFilterAndEnumerate) {
   EXPECT_EQ(result.PartitionVertices(0),
             (std::vector<VertexId>{0, 2, 4}));
   EXPECT_EQ(result.Filter({1, 2, 3}, 1), (std::vector<VertexId>{1, 3}));
+}
+
+TEST(PartitionResultTest, IsLocalMeansOwnedOrInTheHalo) {
+  PartitionResult result;
+  result.num_parts = 2;
+  result.assignment = {0, 1, 0, 1, 0};
+  result.halo = {{1}, {0, 4}};
+  EXPECT_TRUE(result.IsLocal(0, 0));
+  EXPECT_TRUE(result.IsLocal(1, 0));
+  EXPECT_FALSE(result.IsLocal(3, 0));
+  EXPECT_TRUE(result.IsLocal(4, 1));
+  EXPECT_FALSE(result.IsLocal(2, 1));
+  EXPECT_TRUE(result.Validate(5).ok());
+  // IsLocal binary-searches the halos, so Validate rejects one that is
+  // not sorted and unique.
+  result.halo[1] = {4, 0};
+  EXPECT_FALSE(result.Validate(5).ok());
+  result.halo[1] = {0, 0, 4};
+  EXPECT_FALSE(result.Validate(5).ok());
 }
 
 TEST(RoleMasksTest, MarksEachSplit) {

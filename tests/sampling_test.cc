@@ -338,7 +338,9 @@ TEST(VertexRenumbererTest, EpochCounterWraparoundCannotAliasStaleStamps) {
   EXPECT_EQ(map.InsertOrGet(3, 0), (std::pair<uint32_t, bool>{0, true}));
   EXPECT_EQ(map.InsertOrGet(3, 1), (std::pair<uint32_t, bool>{0, false}));
   for (VertexId v = 0; v < 16; ++v) {
-    if (v != 3) EXPECT_FALSE(map.Contains(v)) << v;
+    if (v != 3) {
+      EXPECT_FALSE(map.Contains(v)) << v;
+    }
   }
 }
 

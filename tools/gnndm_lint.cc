@@ -119,7 +119,9 @@ void WriteFindingsJson(const std::string& path) {
     for (const std::string& hop : v.chain) {
       if (!fc) out += ", ";
       fc = false;
-      out += "\"" + json::Escape(hop) + "\"";
+      out += '"';
+      out += json::Escape(hop);
+      out += '"';
     }
     out += "]}";
   }

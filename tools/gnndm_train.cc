@@ -42,10 +42,11 @@
 namespace gnndm {
 namespace {
 
-std::vector<HopSpec> ParseHops(const Flags& flags) {
+/// The sampler's hops from --hybrid, --rate or --fanouts; an error
+/// naming the first --fanouts entry that is not a positive whole number.
+Result<std::vector<HopSpec>> ParseHops(const Flags& flags) {
   std::vector<HopSpec> hops;
   const double rate = flags.GetDouble("rate", 0.0);
-  const std::string fanouts = flags.GetString("fanouts", "25,10");
   if (flags.Has("hybrid")) {
     // --hybrid=<fanout>,<rate>,<threshold>, applied at every hop; the
     // number of hops follows --layers (default 2).
@@ -59,18 +60,14 @@ std::vector<HopSpec> ParseHops(const Flags& flags) {
     const auto layers = static_cast<uint32_t>(flags.GetInt("layers", 2));
     hops.assign(layers, HopSpec::Rate(rate));
   } else {
-    size_t start = 0;
-    while (start <= fanouts.size()) {
-      size_t comma = fanouts.find(',', start);
-      std::string token = fanouts.substr(
-          start,
-          comma == std::string::npos ? std::string::npos : comma - start);
-      if (!token.empty()) {
-        hops.push_back(HopSpec::Fanout(
-            static_cast<uint32_t>(std::strtoul(token.c_str(), nullptr, 10))));
-      }
-      if (comma == std::string::npos) break;
-      start = comma + 1;
+    std::vector<std::string> rejected;
+    for (uint32_t fanout :
+         flags.GetPositiveList("fanouts", "25,10", &rejected)) {
+      hops.push_back(HopSpec::Fanout(fanout));
+    }
+    if (!rejected.empty()) {
+      return Status::InvalidArgument("entry '" + rejected.front() +
+                                     "' is not a positive whole number");
     }
   }
   return hops;
@@ -167,8 +164,8 @@ int Main(int argc, char** argv) {
     flight_recorder::InstallCrashHandlers();
   }
 
-  // Apply kernel threading before any compute (full-batch construction
-  // gathers features in its constructor).
+  // Apply kernel threading before any compute (--workers partitions the
+  // graph before its trainer applies config.num_threads).
   if (flags.Has("threads")) {
     SetComputeThreads(static_cast<size_t>(flags.GetInt("threads", 0)));
   }
@@ -179,6 +176,11 @@ int Main(int argc, char** argv) {
           SetSimdTierByName(flags.GetString("simd", "auto"));
       !simd_status.ok()) {
     std::fprintf(stderr, "--simd: %s\n", simd_status.ToString().c_str());
+    return 2;
+  }
+  Result<std::vector<HopSpec>> hops = ParseHops(flags);
+  if (!hops.ok()) {
+    std::fprintf(stderr, "--fanouts: %s\n", hops.status().ToString().c_str());
     return 2;
   }
 
@@ -204,7 +206,7 @@ int Main(int argc, char** argv) {
       static_cast<float>(flags.GetDouble("lr", 0.01));
   config.batch_size =
       static_cast<uint32_t>(flags.GetInt("batch_size", 512));
-  config.hops = ParseHops(flags);
+  config.hops = std::move(hops).value();
   config.batch_selector = flags.GetString("selector", "random");
   config.adaptive_batch = flags.GetBool("adaptive", false);
   config.adaptive_initial =
@@ -237,11 +239,13 @@ int Main(int argc, char** argv) {
               dataset->num_classes, dataset->split.train.size());
 
   // --- Train ---
-  // --load restores the model before `run` trains and reports, and
-  // --save writes it after, whichever trainer runs.
-  const auto checkpointed = [&](GnnModel& model, auto&& run) -> int {
+  // Whichever trainer runs: --load restores its model before `run`
+  // trains and evaluates, --report prints its stall attribution after,
+  // and --save writes its model last.
+  const auto checkpointed = [&](TrainerBase& trainer, auto&& run) -> int {
     if (flags.Has("load")) {
-      Status status = LoadCheckpoint(model, flags.GetString("load", ""));
+      Status status =
+          LoadCheckpoint(trainer.model(), flags.GetString("load", ""));
       if (!status.ok()) {
         std::fprintf(stderr, "error: %s\n", status.ToString().c_str());
         return 1;
@@ -249,8 +253,12 @@ int Main(int argc, char** argv) {
       std::printf("restored checkpoint\n");
     }
     run();
+    if (flags.GetBool("report", false)) {
+      PrintAttributionReport(trainer.attribution_history());
+    }
     if (flags.Has("save")) {
-      Status status = SaveCheckpoint(model, flags.GetString("save", ""));
+      Status status =
+          SaveCheckpoint(trainer.model(), flags.GetString("save", ""));
       if (!status.ok()) {
         std::fprintf(stderr, "error: %s\n", status.ToString().c_str());
         return 1;
@@ -263,7 +271,7 @@ int Main(int argc, char** argv) {
   int rc = 0;
   if (flags.GetBool("full_batch", false)) {
     FullBatchTrainer trainer(*dataset, config);
-    rc = checkpointed(trainer.model(), [&] {
+    rc = checkpointed(trainer, [&] {
       for (uint32_t e = 0; e < epochs; ++e) {
         EpochStats stats = trainer.TrainEpoch();
         std::printf("epoch %3u  loss %.4f  val %.3f  %.4fs\n", e,
@@ -273,11 +281,6 @@ int Main(int argc, char** argv) {
       std::printf("test accuracy %.3f  peak device memory %.1f MB\n",
                   trainer.Evaluate(dataset->split.test),
                   trainer.PeakMemoryBytes() / 1e6);
-      if (flags.GetBool("report", false)) {
-        std::printf(
-            "(--report: full-batch mode has no per-batch pipeline, no stall "
-            "attribution)\n");
-      }
     });
   } else if (workers > 1) {
     auto partitioner =
@@ -294,7 +297,7 @@ int Main(int argc, char** argv) {
                     partition.EdgeCut(dataset->graph)),
                 partition.seconds);
     DistTrainer trainer(*dataset, partition, config);
-    rc = checkpointed(trainer.model(), [&] {
+    rc = checkpointed(trainer, [&] {
       for (uint32_t e = 0; e < epochs; ++e) {
         DistEpochStats stats = trainer.TrainEpoch();
         std::printf("epoch %3u  loss %.4f  val %.3f  %.4fs\n", e,
@@ -303,13 +306,10 @@ int Main(int argc, char** argv) {
       }
       std::printf("test accuracy %.3f\n",
                   trainer.Evaluate(dataset->split.test));
-      if (flags.GetBool("report", false)) {
-        PrintAttributionReport(trainer.attribution_history());
-      }
     });
   } else {
     Trainer trainer(*dataset, config);
-    rc = checkpointed(trainer.model(), [&] {
+    rc = checkpointed(trainer, [&] {
       for (uint32_t e = 0; e < epochs; ++e) {
         EpochStats stats = trainer.TrainEpoch();
         std::printf(
@@ -330,9 +330,6 @@ int Main(int argc, char** argv) {
       }
       std::printf("test accuracy %.3f\n",
                   trainer.Evaluate(dataset->split.test));
-      if (flags.GetBool("report", false)) {
-        PrintAttributionReport(trainer.attribution_history());
-      }
     });
   }
   if (rc != 0) return rc;

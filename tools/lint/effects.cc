@@ -261,7 +261,9 @@ void AppendEffectArray(std::string& out, uint8_t mask) {
     if ((mask & bit) == 0) continue;
     if (!first) out += ", ";
     first = false;
-    out += "\"" + EffectNames(bit) + "\"";
+    out += '"';
+    out += EffectNames(bit);
+    out += '"';
   }
   out += "]";
 }
@@ -389,7 +391,9 @@ void WriteEffectsJson(const std::string& path,
     for (const std::string& q : quals) {
       if (!fc) out += ", ";
       fc = false;
-      out += "\"" + json::Escape(q) + "\"";
+      out += '"';
+      out += json::Escape(q);
+      out += '"';
     }
     out += "]}";
   }
