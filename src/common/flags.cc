@@ -1,7 +1,12 @@
 #include "common/flags.h"
 
+#include <cerrno>
+#include <charconv>
 #include <cstdlib>
 #include <string_view>
+#include <system_error>
+
+#include "common/status.h"
 
 namespace gnndm {
 
@@ -32,16 +37,40 @@ std::string Flags::GetString(const std::string& key,
 
 int64_t Flags::GetInt(const std::string& key, int64_t default_value) const {
   auto it = values_.find(key);
-  return it == values_.end()
-             ? default_value
-             : static_cast<int64_t>(std::strtoll(it->second.c_str(),
-                                                 nullptr, 10));
+  if (it == values_.end()) return default_value;
+  const std::string& text = it->second;
+  int64_t value = 0;
+  const auto [end, error] =
+      std::from_chars(text.data(), text.data() + text.size(), value);
+  if (text.empty() || error != std::errc() ||
+      end != text.data() + text.size()) {
+    Reject(key, "'" + text + "' is not a whole number");
+    return default_value;
+  }
+  return value;
 }
 
 double Flags::GetDouble(const std::string& key, double default_value) const {
   auto it = values_.find(key);
-  return it == values_.end() ? default_value
-                             : std::strtod(it->second.c_str(), nullptr);
+  if (it == values_.end()) return default_value;
+  const std::string& text = it->second;
+  char* end = nullptr;
+  errno = 0;
+  const double value = std::strtod(text.c_str(), &end);
+  if (text.empty() || errno == ERANGE || end != text.c_str() + text.size()) {
+    Reject(key, "'" + text + "' is not a number");
+    return default_value;
+  }
+  return value;
+}
+
+void Flags::Reject(const std::string& key, const std::string& what) const {
+  if (rejected_.empty()) rejected_ = "--" + key + ": " + what;
+}
+
+Status Flags::status() const {
+  return rejected_.empty() ? Status::Ok()
+                           : Status::InvalidArgument(rejected_);
 }
 
 bool Flags::GetBool(const std::string& key, bool default_value) const {

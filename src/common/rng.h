@@ -4,6 +4,8 @@
 #include <cassert>
 #include <cmath>
 #include <cstdint>
+#include <numeric>
+#include <utility>
 #include <vector>
 
 namespace gnndm {
@@ -109,6 +111,51 @@ class Rng {
   void SampleWithoutReplacement(uint32_t n, uint32_t k,
                                 std::vector<uint32_t>& out,
                                 std::vector<uint8_t>& mark);
+
+  /// The one definition of SampleWithoutReplacement's draws for k < n:
+  /// the same draws and picks, with each pick also handed to `emit(pick)`
+  /// as soon as it is drawn, so a caller consumes the picks in draw order
+  /// without a second pass. `picks` ends holding them in that order
+  /// (Floyd also clears `mark` through it; Fisher–Yates uses it as the
+  /// index array). Defined here so that it inlines: a caller drawing from
+  /// a local copy of its Rng then keeps the generator in registers, and
+  /// the loops address the buffers through local pointers, which the
+  /// byte stores into `mark` cannot alias.
+  template <typename Emit>
+  void DrawDistinct(uint32_t n, uint32_t k, std::vector<uint32_t>& picks,
+                    std::vector<uint8_t>& mark, Emit&& emit) {
+    assert(k < n);
+    if (k * 3 < n) {
+      // Floyd's algorithm, expected O(k) draws. The chosen set is exactly
+      // the picks emitted so far, marked in `mark`. `j` can never already
+      // be chosen: every earlier pick is below it.
+      if (mark.size() < n) mark.resize(n, 0);
+      picks.resize(k);
+      uint8_t* marked = mark.data();
+      uint32_t* out = picks.data();
+      for (uint32_t i = 0; i < k; ++i) {
+        const uint32_t j = n - k + i;
+        const auto t = static_cast<uint32_t>(UniformInt(j + 1));
+        const uint32_t pick = marked[t] == 0 ? t : j;
+        marked[pick] = 1;
+        out[i] = pick;
+        emit(pick);
+      }
+      for (uint32_t i = 0; i < k; ++i) marked[out[i]] = 0;
+      return;
+    }
+    // Dense case: partial Fisher–Yates over an index array. Position i is
+    // final once step i has swapped into it.
+    picks.resize(n);
+    uint32_t* index = picks.data();
+    std::iota(index, index + n, 0u);
+    for (uint32_t i = 0; i < k; ++i) {
+      const uint32_t j = i + static_cast<uint32_t>(UniformInt(n - i));
+      std::swap(index[i], index[j]);
+      emit(index[i]);
+    }
+    picks.resize(k);
+  }
 
   /// Derives an independent child generator; use to hand deterministic
   /// streams to worker threads.

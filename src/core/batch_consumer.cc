@@ -11,6 +11,7 @@
 #include "graph/csr_graph.h"
 #include "graph/dataset.h"
 #include "nn/model.h"
+#include "nn/row_view.h"
 #include "sampling/neighbor_sampler.h"
 #include "sampling/sampled_subgraph.h"
 #include "tensor/ops.h"
@@ -47,8 +48,9 @@ ConsumeOutcome BatchConsumer::Consume(const PreparedBatch& batch,
   out.involved_vertices = sg.TotalVertices();
   out.involved_edges = sg.TotalEdges();
 
-  // --- Data transferring: the source staged the input rows; account
-  // the modeled cost of moving them host -> device. ---
+  // --- Data transferring: account the modeled cost of moving the input
+  // rows host -> device. An engine that extracts had the source stage
+  // them; the others read them in place below. ---
   {
     TRACE_SPAN("trainer.transfer", batch.index);
     out.transfer =
@@ -64,7 +66,8 @@ ConsumeOutcome BatchConsumer::Consume(const PreparedBatch& batch,
   {
     TRACE_SPAN("trainer.nn", batch.index,
                attrib != nullptr ? &attrib->wall_compute : nullptr);
-    const Tensor& logits = model_.Forward(sg, batch.input, /*train=*/true);
+    const Tensor& logits = model_.Forward(
+        sg, batch.InputRows(dataset_.features), /*train=*/true);
     labels_scratch_.resize(batch.seeds.size());
     for (size_t i = 0; i < batch.seeds.size(); ++i) {
       labels_scratch_[i] = dataset_.labels[batch.seeds[i]];
@@ -104,10 +107,13 @@ void BatchConsumer::Evaluate(const std::vector<VertexId>& vertices,
     } else {
       eval_subgraph_ = sampler->Sample(dataset_.graph, eval_seeds_, rng);
     }
-    TransferEngine::Gather(eval_subgraph_.input_vertices(), dataset_.features,
-                           eval_input_);
+    const std::vector<VertexId>& ids = eval_subgraph_.input_vertices();
+    const bool stage = transfer_.extracts();
+    if (stage) TransferEngine::Gather(ids, dataset_.features, eval_input_);
+    const RowView input =
+        stage ? RowView(eval_input_) : RowView(dataset_.features, ids);
     const Tensor& logits =
-        model_.Forward(eval_subgraph_, eval_input_, /*train=*/false);
+        model_.Forward(eval_subgraph_, input, /*train=*/false);
     ArgmaxRowsInto(logits, eval_preds_);
     for (size_t i = 0; i < eval_seeds_.size(); ++i) {
       metrics.Add(eval_preds_[i], dataset_.labels[eval_seeds_[i]]);

@@ -36,9 +36,11 @@ struct ConsumeOutcome {
 /// forward/backward, and per-stage virtual-time attribution, plus the
 /// forward-only inference pass. Exactly one definition of this math
 /// exists — Trainer, DistTrainer, and the bench binaries all consume
-/// PreparedBatches through here, and every BatchSource delivers them with
-/// the input rows already gathered. DistTrainer serves all its simulated
-/// workers from one consumer, each worker passing its own cache.
+/// PreparedBatches through here. The first layer reads a batch's staged
+/// input rows when its source staged them (an engine that extracts), and
+/// the feature rows in place otherwise. DistTrainer serves all its
+/// simulated workers from one consumer, each worker passing its own
+/// cache.
 ///
 /// The consumer accumulates gradients into the model but never steps the
 /// optimizer: single-worker training steps per batch, synchronous data
@@ -69,7 +71,8 @@ class BatchConsumer {
   /// Forward-only sampled inference: predicts `vertices` in batches of
   /// 1024, each sampled with `sampler` drawing from `rng` (null sampler:
   /// the batch is its seed rows, the MLP/DNN baseline) and its input rows
-  /// gathered, and records every (prediction, label) pair in `metrics`.
+  /// gathered if the engine extracts, read in place if not, and records
+  /// every (prediction, label) pair in `metrics`.
   void Evaluate(const std::vector<VertexId>& vertices,
                 const NeighborSampler* sampler, Rng& rng,
                 ClassificationMetrics& metrics);

@@ -27,14 +27,15 @@ telemetry::Histogram& WaitHistogram(const std::string& name) {
 }
 
 /// The one definition of batch production, shared by every source: sample
-/// batch `index` with its derived RNG stream, then gather its feature
-/// rows. Safe to call concurrently (const sampler, per-thread scratch).
-/// Each stage's span is its only timer and sinks the stage's seconds into
-/// the batch (stall attribution; DESIGN.md §14).
+/// batch `index` with its derived RNG stream, then, when `stage_input`,
+/// gather its feature rows. Safe to call concurrently (const sampler,
+/// per-thread scratch). Each stage's span is its only timer and sinks the
+/// stage's seconds into the batch (stall attribution; DESIGN.md §14).
 PreparedBatch ProduceBatch(const CsrGraph& graph,
                            const FeatureMatrix& features,
                            const NeighborSampler* sampler, uint64_t seed,
-                           uint32_t index, std::vector<VertexId> seeds) {
+                           uint32_t index, std::vector<VertexId> seeds,
+                           bool stage_input) {
   PreparedBatch prepared;
   prepared.index = index;
   prepared.seeds = std::move(seeds);
@@ -50,7 +51,7 @@ PreparedBatch ProduceBatch(const CsrGraph& graph,
       prepared.subgraph.node_ids.push_back(prepared.seeds);
     }
   }
-  {
+  if (stage_input) {
     TRACE_SPAN("loader.gather", index, &prepared.gather_seconds);
     TransferEngine::Gather(prepared.subgraph.input_vertices(), features,
                            prepared.input);
@@ -82,18 +83,19 @@ const DeliveryInstruments& Delivery() {
 InlineBatchSource::InlineBatchSource(
     const CsrGraph& graph, const FeatureMatrix& features,
     std::vector<std::vector<VertexId>> batches,
-    const NeighborSampler* sampler, uint64_t seed)
+    const NeighborSampler* sampler, uint64_t seed, bool stage_input)
     : graph_(graph),
       features_(features),
       batches_(std::move(batches)),
       sampler_(sampler),
-      seed_(seed) {}
+      seed_(seed),
+      stage_input_(stage_input) {}
 
 std::optional<PreparedBatch> InlineBatchSource::Next() {
   if (next_ >= batches_.size()) return std::nullopt;
   const uint32_t i = next_++;
   PreparedBatch batch = ProduceBatch(graph_, features_, sampler_, seed_, i,
-                                     std::move(batches_[i]));
+                                     std::move(batches_[i]), stage_input_);
   if (telemetry::Enabled()) {
     const DeliveryInstruments& delivery = Delivery();
     delivery.batches.Increment();
@@ -111,13 +113,14 @@ AsyncBatchSource::AsyncBatchSource(
     const CsrGraph& graph, const FeatureMatrix& features,
     std::vector<std::vector<VertexId>> batches,
     const NeighborSampler* sampler, uint64_t seed, size_t queue_depth,
-    size_t workers)
+    size_t workers, bool stage_input)
     : graph_(graph),
       features_(features),
       batches_(std::move(batches)),
       sampler_(sampler),
       seed_(seed),
-      queue_depth_(queue_depth == 0 ? 1 : queue_depth) {
+      queue_depth_(queue_depth == 0 ? 1 : queue_depth),
+      stage_input_(stage_input) {
   reorder_.resize(queue_depth_);
   const size_t n = workers == 0 ? 1 : workers;
   workers_.reserve(n);
@@ -166,7 +169,7 @@ void AsyncBatchSource::WorkerLoop(uint32_t worker_id) {
     {
       TRACE_SPAN("loader.produce", i);
       prepared = ProduceBatch(graph_, features_, sampler_, seed_, i,
-                              std::move(batches_[i]));
+                              std::move(batches_[i]), stage_input_);
     }
     {
       // gnndm-lint: suppress(raw-timer): measures condvar wait, not a pipeline stage
@@ -247,15 +250,16 @@ std::optional<PreparedBatch> AsyncBatchSource::Next() {
 
 // --- Full-graph batch ---------------------------------------------------
 
-PreparedBatch FullGraphBatch(const CsrGraph& graph,
-                             const FeatureMatrix& features,
-                             uint32_t num_layers) {
-  GNNDM_CHECK(num_layers >= 1);
+PreparedBatch FullGraphBatch(const CsrGraph& graph, uint32_t num_layers) {
   // Every level is the identity vertex list, every layer the full
   // adjacency in local (= global) ids.
   const VertexId n = graph.num_vertices();
   std::vector<VertexId> all(n);
   std::iota(all.begin(), all.end(), 0u);
+  PreparedBatch batch;
+  batch.seeds = all;
+  batch.subgraph.node_ids.assign(num_layers + 1, all);
+  if (num_layers == 0) return batch;
   SampleLayer full_layer;
   full_layer.num_src = n;
   full_layer.num_dst = n;
@@ -268,11 +272,7 @@ PreparedBatch FullGraphBatch(const CsrGraph& graph,
     full_layer.offsets.push_back(
         static_cast<uint32_t>(full_layer.neighbors.size()));
   }
-  PreparedBatch batch;
-  batch.seeds = all;
-  batch.subgraph.node_ids.assign(num_layers + 1, all);
   batch.subgraph.layers.assign(num_layers, full_layer);
-  TransferEngine::Gather(all, features, batch.input);
   return batch;
 }
 
@@ -284,11 +284,12 @@ std::unique_ptr<BatchSource> MakeBatchSource(
     const NeighborSampler* sampler, const BatchSourceOptions& options) {
   if (options.workers == 0) {
     return std::make_unique<InlineBatchSource>(
-        graph, features, std::move(batches), sampler, options.seed);
+        graph, features, std::move(batches), sampler, options.seed,
+        options.stage_input);
   }
   return std::make_unique<AsyncBatchSource>(
       graph, features, std::move(batches), sampler, options.seed,
-      options.queue_depth, options.workers);
+      options.queue_depth, options.workers, options.stage_input);
 }
 
 }  // namespace gnndm

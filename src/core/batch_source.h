@@ -11,29 +11,40 @@
 #include "common/rng.h"
 #include "graph/csr_graph.h"
 #include "graph/dataset.h"
+#include "nn/row_view.h"
 #include "sampling/neighbor_sampler.h"
 #include "sampling/sampled_subgraph.h"
 #include "tensor/tensor.h"
 
 namespace gnndm {
 
-/// One fully prepared training batch: the sampled L-hop subgraph plus
-/// its gathered input-feature block, ready for the NN.
+/// One fully prepared training batch: the sampled L-hop subgraph plus,
+/// when the source stages them, its gathered input-feature rows, ready
+/// for the NN.
 struct PreparedBatch {
   uint32_t index = 0;
   std::vector<VertexId> seeds;
   SampledSubgraph subgraph;
-  /// Input feature rows for subgraph.input_vertices(), always staged by
-  /// the source.
+  /// Input feature rows for subgraph.input_vertices() when the source
+  /// stages them (BatchSourceOptions::stage_input); empty otherwise.
   Tensor input;
   /// Wall-clock stall attribution (core/attribution.h): the seconds of
   /// this batch's loader.sample, loader.gather and loader.consumer_wait
   /// spans, which the spans' sinks fill only while telemetry is enabled
-  /// (zero otherwise). Never fed back into batch content, so the
-  /// delivered stream stays byte-identical either way.
+  /// (zero otherwise; gather is zero too when nothing is staged). Never
+  /// fed back into batch content, so the delivered stream stays
+  /// byte-identical either way.
   double sample_seconds = 0.0;
   double gather_seconds = 0.0;
   double queue_wait_seconds = 0.0;
+
+  /// The rows the first layer reads: the staged `input`, or, when
+  /// nothing was staged, the rows of `features` at
+  /// subgraph.input_vertices(), in place. Both hold the same floats.
+  RowView InputRows(const FeatureMatrix& features) const {
+    if (input.empty()) return RowView(features, subgraph.input_vertices());
+    return input;
+  }
 };
 
 /// The one batch data plane: everything that turns a list of seed
@@ -45,9 +56,10 @@ struct PreparedBatch {
 ///
 /// Determinism contract: batch i is sampled with Rng(BatchRngSeed(seed,
 /// i)) and delivered strictly in index order, so the stream of prepared
-/// batches — seeds, subgraph structure, AND gathered feature bytes — is
-/// byte-identical for every implementation at any {workers, queue_depth}
-/// and any compute-thread count (asserted by batch_source_test and the
+/// batches — seeds, subgraph structure, and, where the source stages
+/// rows, the gathered feature bytes — is byte-identical for every
+/// implementation at any {workers, queue_depth} and any compute-thread
+/// count, staging or not (asserted by batch_source_test and the
 /// loader_cli_identity ctest).
 class BatchSource {
  public:
@@ -78,18 +90,25 @@ struct BatchSourceOptions {
   size_t queue_depth = 4;
   /// Base seed; batch i draws from Rng(BatchRngSeed(seed, i)).
   uint64_t seed = 0;
+  /// Gather each batch's input rows into PreparedBatch::input: the CPU
+  /// extract stage of an engine that extracts (TransferEngine::extracts).
+  /// False: the producers only sample, and the NN reads the rows in
+  /// place.
+  bool stage_input = true;
 };
 
-/// Synchronous implementation: Next() samples and gathers on the calling
-/// thread. The zero-thread baseline every other source must match byte
-/// for byte.
+/// Synchronous implementation: Next() samples, and stages the input rows
+/// if asked, on the calling thread. The zero-thread baseline every other
+/// source must match byte for byte.
 class InlineBatchSource : public BatchSource {
  public:
   /// `graph`/`features`/`sampler` must outlive the source. `sampler` may
   /// be null (MLP/DNN baseline): the "subgraph" is then just the seeds.
+  /// `stage_input` as in BatchSourceOptions.
   InlineBatchSource(const CsrGraph& graph, const FeatureMatrix& features,
                     std::vector<std::vector<VertexId>> batches,
-                    const NeighborSampler* sampler, uint64_t seed);
+                    const NeighborSampler* sampler, uint64_t seed,
+                    bool stage_input = true);
 
   std::optional<PreparedBatch> Next() override;
   size_t num_batches() const override { return batches_.size(); }
@@ -100,11 +119,12 @@ class InlineBatchSource : public BatchSource {
   std::vector<std::vector<VertexId>> batches_;
   const NeighborSampler* sampler_;
   uint64_t seed_;
+  bool stage_input_;
   uint32_t next_ = 0;
 };
 
 /// Multi-producer prefetching implementation: N worker threads claim
-/// batch indices off a shared cursor, sample + gather them concurrently
+/// batch indices off a shared cursor, sample (and stage) them concurrently
 /// (sharing one const NeighborSampler; scratch is per-thread), and insert
 /// them into a bounded reorder buffer that Next() drains strictly in
 /// index order — the DGL/GNNLab "dataloader workers" model.
@@ -126,7 +146,8 @@ class AsyncBatchSource : public BatchSource {
   AsyncBatchSource(const CsrGraph& graph, const FeatureMatrix& features,
                    std::vector<std::vector<VertexId>> batches,
                    const NeighborSampler* sampler, uint64_t seed,
-                   size_t queue_depth, size_t workers);
+                   size_t queue_depth, size_t workers,
+                   bool stage_input = true);
   ~AsyncBatchSource() override;
 
   AsyncBatchSource(const AsyncBatchSource&) = delete;
@@ -148,6 +169,7 @@ class AsyncBatchSource : public BatchSource {
   const NeighborSampler* sampler_;
   uint64_t seed_;
   size_t queue_depth_;
+  bool stage_input_;
 
   Mutex mu_{"loader.reorder_mu"};
   CondVar window_open_;  ///< producers: your index now fits the window
@@ -164,12 +186,11 @@ class AsyncBatchSource : public BatchSource {
 
 /// The one batch of full-graph (NeuGraph/ROC-style) training: batch 0,
 /// every vertex a seed, its "subgraph" the identity vertex list at each
-/// of the `num_layers` + 1 levels over the full adjacency, with every
-/// vertex's features gathered. FullBatchTrainer builds it once and keeps
-/// it resident across epochs.
-PreparedBatch FullGraphBatch(const CsrGraph& graph,
-                             const FeatureMatrix& features,
-                             uint32_t num_layers);
+/// of the `num_layers` + 1 levels over the full adjacency (one level and
+/// no layers for the 0-hop MLP). Nothing is staged: the features stay
+/// resident, and the first layer reads them in place. FullBatchTrainer
+/// builds it once and keeps it across epochs.
+PreparedBatch FullGraphBatch(const CsrGraph& graph, uint32_t num_layers);
 
 /// Factory used by the trainers and benches: workers == 0 yields the
 /// inline source, otherwise the async source. All arguments as on the

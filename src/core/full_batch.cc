@@ -22,8 +22,7 @@ namespace gnndm {
 FullBatchTrainer::FullBatchTrainer(const Dataset& dataset,
                                    const TrainerConfig& config)
     : TrainerBase(dataset, config),
-      full_graph_(FullGraphBatch(dataset.graph, dataset.features,
-                                 model_->num_hops())) {}
+      full_graph_(FullGraphBatch(dataset.graph, model_->num_hops())) {}
 
 EpochStats FullBatchTrainer::TrainEpoch() {
   TRACE_SPAN("trainer.epoch");
@@ -48,7 +47,8 @@ EpochStats FullBatchTrainer::TrainEpoch() {
   BatchAttribution attrib;
   {
     TRACE_SPAN("trainer.nn", 0, &attrib.wall_compute);
-    const Tensor& logits = model_->Forward(sg, full_graph_.input, true);
+    const Tensor& logits = model_->Forward(
+        sg, full_graph_.InputRows(dataset_.features), /*train=*/true);
 
     // Mask the loss to the training vertices: gather their logit rows,
     // compute the loss there, scatter gradients back.
@@ -95,7 +95,8 @@ ClassificationMetrics FullBatchTrainer::EvaluateDetailed(
   ClassificationMetrics metrics(dataset_.num_classes);
   if (vertices.empty()) return metrics;
   const Tensor& logits =
-      model_->Forward(full_graph_.subgraph, full_graph_.input, false);
+      model_->Forward(full_graph_.subgraph,
+                      full_graph_.InputRows(dataset_.features), false);
   const std::vector<int32_t> preds = ArgmaxRows(logits);
   for (VertexId v : vertices) metrics.Add(preds[v], dataset_.labels[v]);
   return metrics;

@@ -50,7 +50,7 @@ class FullBatchTrainer : public TrainerBase {
   double RunEpoch() override { return TrainEpoch().train_loss; }
 
  private:
-  PreparedBatch full_graph_;  // identity levels + full adjacency, staged once
+  PreparedBatch full_graph_;  // identity levels + full adjacency
 };
 
 }  // namespace gnndm

@@ -88,6 +88,9 @@ std::unique_ptr<BatchSource> TrainerBase::EpochSource(
   options.workers = config_.loader_workers;
   options.queue_depth = config_.async_queue_depth;
   options.seed = config_.seed ^ (0xA51Cull + epoch_);
+  // Only an engine that extracts stages the rows, on the producers; under
+  // the others the first layer reads them in place.
+  options.stage_input = transfer_->extracts();
   return MakeBatchSource(dataset_.graph, dataset_.features,
                          std::move(batches),
                          model_->num_hops() > 0 ? &sampler_ : nullptr,

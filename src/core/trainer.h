@@ -165,7 +165,8 @@ class TrainerBase {
 
   /// This epoch's batch plane over `batches`, in consumption order: batch
   /// i draws from Rng(BatchRngSeed(seed ^ (0xA51C + epoch), i)), prepared
-  /// by config_.loader_workers producers (0 = inline).
+  /// by config_.loader_workers producers (0 = inline), which stage the
+  /// input rows only when the transfer engine extracts.
   std::unique_ptr<BatchSource> EpochSource(
       std::vector<std::vector<VertexId>> batches) const;
 

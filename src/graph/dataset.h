@@ -1,7 +1,9 @@
 #ifndef GNNDM_GRAPH_DATASET_H_
 #define GNNDM_GRAPH_DATASET_H_
 
+#include <cstddef>
 #include <cstdint>
+#include <new>
 #include <span>
 #include <string>
 #include <vector>
@@ -13,11 +15,40 @@
 
 namespace gnndm {
 
+/// Allocator of FeatureMatrix storage: 64-byte (cache-line) aligned.
+template <typename T>
+struct CacheLineAllocator {
+  using value_type = T;
+  static constexpr std::align_val_t kAlignment{64};
+
+  CacheLineAllocator() = default;
+  template <typename U>
+  CacheLineAllocator(const CacheLineAllocator<U>& /*other*/) {}
+
+  T* allocate(size_t n) {
+    return static_cast<T*>(::operator new(n * sizeof(T), kAlignment));
+  }
+  void deallocate(T* p, size_t n) {
+    ::operator delete(p, n * sizeof(T), kAlignment);
+  }
+  template <typename U>
+  bool operator==(const CacheLineAllocator<U>& /*other*/) const {
+    return true;
+  }
+};
+
 /// Dense row-major vertex feature matrix [num_vertices x dim], float32 —
 /// the object whose CPU→GPU movement the data-transferring experiments
 /// (§7) measure byte-for-byte.
+///
+/// The storage starts on a cache line, so every row whose width is a
+/// multiple of 16 floats (every registry dataset's) spans whole cache
+/// lines: a 32-float row is two lines, not three. The first layer reads
+/// these rows in place (nn/row_view.h), one random row per sampled edge.
 class FeatureMatrix {
  public:
+  using Storage = std::vector<float, CacheLineAllocator<float>>;
+
   FeatureMatrix() = default;
   FeatureMatrix(VertexId num_vertices, uint32_t dim)
       : dim_(dim), data_(static_cast<size_t>(num_vertices) * dim, 0.0f) {}
@@ -35,11 +66,11 @@ class FeatureMatrix {
   std::span<float> mutable_row(VertexId v) {
     return {data_.data() + static_cast<size_t>(v) * dim_, dim_};
   }
-  const std::vector<float>& data() const { return data_; }
+  const Storage& data() const { return data_; }
 
  private:
   uint32_t dim_ = 0;
-  std::vector<float> data_;
+  Storage data_;
 };
 
 /// 65:10:25 train/validation/test split of the labeled vertices

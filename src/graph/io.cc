@@ -27,8 +27,8 @@ bool ReadPod(std::ifstream& in, T& value) {
   return static_cast<bool>(in);
 }
 
-template <typename T>
-void WriteVector(std::ofstream& out, const std::vector<T>& values) {
+template <typename T, typename Allocator>
+void WriteVector(std::ofstream& out, const std::vector<T, Allocator>& values) {
   WritePod(out, static_cast<uint64_t>(values.size()));
   out.write(reinterpret_cast<const char*>(values.data()),
             static_cast<std::streamsize>(values.size() * sizeof(T)));

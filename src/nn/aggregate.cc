@@ -4,6 +4,7 @@
 
 #include "common/logging.h"
 #include "common/parallel_for.h"
+#include "nn/row_view.h"
 #include "sampling/sampled_subgraph.h"
 #include "tensor/simd.h"
 #include "tensor/tensor.h"
@@ -35,7 +36,7 @@ size_t ScatterGrain(size_t num_src) {
 // never change the bits.
 
 // gnndm-hot
-void MeanAggregateWithSelf(const SampleLayer& layer, const Tensor& src,
+void MeanAggregateWithSelf(const SampleLayer& layer, const RowView& src,
                            Tensor& out) {
   GNNDM_CHECK(src.rows() == layer.num_src);
   const size_t d = src.cols();
@@ -49,9 +50,9 @@ void MeanAggregateWithSelf(const SampleLayer& layer, const Tensor& src,
       float* orow = out.data() + i * d;
       const uint32_t begin = layer.offsets[i];
       const uint32_t end = layer.offsets[i + 1];
-      simd.copy(d, src.data() + i * d, orow);
-      simd.gather_rows_add(d, src.data(), layer.neighbors.data() + begin,
-                           end - begin, orow);
+      simd.copy(d, src.row(i), orow);
+      simd.gather_rows_add(d, src.base(), src.map(),
+                           layer.neighbors.data() + begin, end - begin, orow);
       simd.scale(d, 1.0f / static_cast<float>(1 + end - begin), orow);
     }
   });
@@ -93,7 +94,7 @@ void MeanAggregateWithSelfBackward(const SampleLayer& layer,
 }
 
 // gnndm-hot
-void MeanAggregateNeighbors(const SampleLayer& layer, const Tensor& src,
+void MeanAggregateNeighbors(const SampleLayer& layer, const RowView& src,
                             Tensor& out) {
   GNNDM_CHECK(src.rows() == layer.num_src);
   const size_t d = src.cols();
@@ -105,8 +106,8 @@ void MeanAggregateNeighbors(const SampleLayer& layer, const Tensor& src,
       const uint32_t begin = layer.offsets[i];
       const uint32_t end = layer.offsets[i + 1];
       if (begin == end) continue;  // zero row (Resize zero-fills)
-      simd.gather_rows_add(d, src.data(), layer.neighbors.data() + begin,
-                           end - begin, orow);
+      simd.gather_rows_add(d, src.base(), src.map(),
+                           layer.neighbors.data() + begin, end - begin, orow);
       simd.scale(d, 1.0f / static_cast<float>(end - begin), orow);
     }
   });

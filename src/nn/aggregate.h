@@ -1,6 +1,7 @@
 #ifndef GNNDM_NN_AGGREGATE_H_
 #define GNNDM_NN_AGGREGATE_H_
 
+#include "nn/row_view.h"
 #include "sampling/sampled_subgraph.h"
 #include "tensor/tensor.h"
 
@@ -15,7 +16,9 @@ namespace gnndm {
 ///   out[i] = (src[i] + sum_{u in N(i)} src[u]) / (1 + |N(i)|).
 /// Relies on the SampledSubgraph invariant that destination i's own
 /// features are src row i. Shapes: src [num_src x d] -> out [num_dst x d].
-void MeanAggregateWithSelf(const SampleLayer& layer, const Tensor& src,
+/// `src` is read through its view: a tensor's rows, or feature rows in
+/// place.
+void MeanAggregateWithSelf(const SampleLayer& layer, const RowView& src,
                            Tensor& out);
 
 /// Backward of MeanAggregateWithSelf: scatters d_out into d_src
@@ -26,7 +29,7 @@ void MeanAggregateWithSelfBackward(const SampleLayer& layer,
 
 /// Mean over sampled neighbors only (GraphSAGE's neighbor branch);
 /// destinations with no sampled neighbors get a zero row.
-void MeanAggregateNeighbors(const SampleLayer& layer, const Tensor& src,
+void MeanAggregateNeighbors(const SampleLayer& layer, const RowView& src,
                             Tensor& out);
 
 /// Backward of MeanAggregateNeighbors (accumulating into d_src).

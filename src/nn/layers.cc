@@ -9,6 +9,7 @@
 #include "common/parallel_for.h"
 #include "common/rng.h"
 #include "nn/aggregate.h"
+#include "nn/row_view.h"
 #include "sampling/sampled_subgraph.h"
 #include "tensor/ops.h"
 #include "tensor/simd.h"
@@ -51,7 +52,8 @@ GcnConv::GcnConv(std::string name, size_t in_dim, size_t out_dim, bool relu,
   XavierInit(weight_.value, rng);
 }
 
-const Tensor& GcnConv::Forward(const SampleLayer& layer, const Tensor& src) {
+const Tensor& GcnConv::Forward(const SampleLayer& layer,
+                               const RowView& src) {
   MeanAggregateWithSelf(layer, src, agg_cache_);
   MatMul(agg_cache_, weight_.value, output_);
   AddBiasInPlace(output_, bias_.value);
@@ -85,7 +87,8 @@ SageConv::SageConv(std::string name, size_t in_dim, size_t out_dim,
   XavierInit(weight_neigh_.value, rng);
 }
 
-const Tensor& SageConv::Forward(const SampleLayer& layer, const Tensor& src) {
+const Tensor& SageConv::Forward(const SampleLayer& layer,
+                                const RowView& src) {
   GNNDM_CHECK(src.rows() == layer.num_src);
   const size_t in_dim = src.cols();
   // Self branch: destination i's features are src row i. Row-parallel
@@ -97,8 +100,7 @@ const Tensor& SageConv::Forward(const SampleLayer& layer, const Tensor& src) {
                 std::max<size_t>(1, 8192 / std::max<size_t>(1, in_dim)),
                 [&](size_t r0, size_t r1) {
                   for (size_t i = r0; i < r1; ++i) {
-                    simd.copy(in_dim, src.row(i).data(),
-                              self_cache_.row(i).data());
+                    simd.copy(in_dim, src.row(i), self_cache_.row(i).data());
                   }
                 });
   }

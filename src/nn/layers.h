@@ -7,6 +7,7 @@
 
 #include "common/rng.h"
 #include "nn/parameter.h"
+#include "nn/row_view.h"
 #include "sampling/sampled_subgraph.h"
 #include "tensor/tensor.h"
 
@@ -61,7 +62,7 @@ class GcnConv {
           Rng& rng);
 
   /// `src` is [layer.num_src x in_dim]; returns [layer.num_dst x out_dim].
-  const Tensor& Forward(const SampleLayer& layer, const Tensor& src);
+  const Tensor& Forward(const SampleLayer& layer, const RowView& src);
 
   /// `d_src` receives dLoss/dSrc [num_src x in_dim].
   void Backward(const SampleLayer& layer, Tensor& d_out, Tensor* d_src);
@@ -84,7 +85,7 @@ class SageConv {
   SageConv(std::string name, size_t in_dim, size_t out_dim, bool relu,
            Rng& rng);
 
-  const Tensor& Forward(const SampleLayer& layer, const Tensor& src);
+  const Tensor& Forward(const SampleLayer& layer, const RowView& src);
   void Backward(const SampleLayer& layer, Tensor& d_out, Tensor* d_src);
 
   std::vector<Parameter*> Parameters() {

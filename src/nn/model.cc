@@ -6,6 +6,7 @@
 #include "common/rng.h"
 #include "nn/layers.h"
 #include "nn/parameter.h"
+#include "nn/row_view.h"
 #include "sampling/sampled_subgraph.h"
 #include "tensor/tensor.h"
 
@@ -49,18 +50,18 @@ Gcn::Gcn(const ModelConfig& config) : rng_(config.seed) {
   mlp_ = MakeMlpHead(config, dim, rng_);
 }
 
-const Tensor& Gcn::Forward(const SampledSubgraph& sg, const Tensor& input,
+const Tensor& Gcn::Forward(const SampledSubgraph& sg, const RowView& input,
                            bool train) {
   GNNDM_CHECK(sg.num_layers() == convs_.size());
-  const Tensor* h = &input;
+  RowView h = input;
   Tensor buffer;
   for (size_t l = 0; l < convs_.size(); ++l) {
-    buffer = convs_[l].Forward(sg.layers[l], *h);
+    buffer = convs_[l].Forward(sg.layers[l], h);
     dropouts_[l].Forward(buffer, train, rng_);
     hidden_ = std::move(buffer);
-    h = &hidden_;
+    h = hidden_;
   }
-  const Tensor* out = h;
+  const Tensor* out = &hidden_;
   for (auto& layer : mlp_) out = &layer.Forward(*out);
   return *out;
 }
@@ -105,17 +106,17 @@ GraphSage::GraphSage(const ModelConfig& config) : rng_(config.seed) {
 }
 
 const Tensor& GraphSage::Forward(const SampledSubgraph& sg,
-                                 const Tensor& input, bool train) {
+                                 const RowView& input, bool train) {
   GNNDM_CHECK(sg.num_layers() == convs_.size());
-  const Tensor* h = &input;
+  RowView h = input;
   Tensor buffer;
   for (size_t l = 0; l < convs_.size(); ++l) {
-    buffer = convs_[l].Forward(sg.layers[l], *h);
+    buffer = convs_[l].Forward(sg.layers[l], h);
     dropouts_[l].Forward(buffer, train, rng_);
     hidden_ = std::move(buffer);
-    h = &hidden_;
+    h = hidden_;
   }
-  const Tensor* out = h;
+  const Tensor* out = &hidden_;
   for (auto& layer : mlp_) out = &layer.Forward(*out);
   return *out;
 }
@@ -160,7 +161,7 @@ Mlp::Mlp(const ModelConfig& config) : rng_(config.seed) {
                        rng_);
 }
 
-const Tensor& Mlp::Forward(const SampledSubgraph& sg, const Tensor& input,
+const Tensor& Mlp::Forward(const SampledSubgraph& sg, const RowView& input,
                            bool /*train*/) {
   // Seed rows come first at every level of a SampledSubgraph, so the MLP
   // reads the first |seeds| rows of the input feature block.
@@ -169,7 +170,7 @@ const Tensor& Mlp::Forward(const SampledSubgraph& sg, const Tensor& input,
   seed_input_.Resize(num_seeds, input.cols());
   // Serial: at most one batch of rows; memory-bound copy off hot path.
   for (size_t i = 0; i < num_seeds; ++i) {
-    auto src = input.row(i);
+    const float* src = input.row(i);
     auto dst = seed_input_.row(i);
     for (size_t f = 0; f < input.cols(); ++f) dst[f] = src[f];
   }

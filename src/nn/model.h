@@ -9,21 +9,24 @@
 #include "common/rng.h"
 #include "nn/layers.h"
 #include "nn/parameter.h"
+#include "nn/row_view.h"
 #include "sampling/sampled_subgraph.h"
 #include "tensor/tensor.h"
 
 namespace gnndm {
 
-/// A mini-batch GNN model operating on sampled subgraphs. `input` carries
-/// the raw feature rows of sg.input_vertices(); Forward returns logits for
-/// sg.seeds() (one row per seed). Backward must follow the matching
-/// Forward and accumulates into parameter gradients.
+/// A mini-batch GNN model operating on sampled subgraphs. `input` views
+/// the raw feature rows of sg.input_vertices(): a staged tensor of them,
+/// or the feature matrix read in place (nn/row_view.h). Forward returns
+/// logits for sg.seeds() (one row per seed). Backward must follow the
+/// matching Forward and accumulates into parameter gradients; it reads
+/// nothing of `input`.
 class GnnModel {
  public:
   virtual ~GnnModel() = default;
 
   virtual const Tensor& Forward(const SampledSubgraph& sg,
-                                const Tensor& input, bool train) = 0;
+                                const RowView& input, bool train) = 0;
   virtual void Backward(const SampledSubgraph& sg,
                         const Tensor& d_logits) = 0;
   virtual std::vector<Parameter*> Parameters() = 0;
@@ -54,7 +57,7 @@ class Gcn : public GnnModel {
  public:
   explicit Gcn(const ModelConfig& config);
 
-  const Tensor& Forward(const SampledSubgraph& sg, const Tensor& input,
+  const Tensor& Forward(const SampledSubgraph& sg, const RowView& input,
                         bool train) override;
   void Backward(const SampledSubgraph& sg, const Tensor& d_logits) override;
   std::vector<Parameter*> Parameters() override;
@@ -77,7 +80,7 @@ class GraphSage : public GnnModel {
  public:
   explicit GraphSage(const ModelConfig& config);
 
-  const Tensor& Forward(const SampledSubgraph& sg, const Tensor& input,
+  const Tensor& Forward(const SampledSubgraph& sg, const RowView& input,
                         bool train) override;
   void Backward(const SampledSubgraph& sg, const Tensor& d_logits) override;
   std::vector<Parameter*> Parameters() override;
@@ -101,7 +104,7 @@ class Mlp : public GnnModel {
  public:
   explicit Mlp(const ModelConfig& config);
 
-  const Tensor& Forward(const SampledSubgraph& sg, const Tensor& input,
+  const Tensor& Forward(const SampledSubgraph& sg, const RowView& input,
                         bool train) override;
   void Backward(const SampledSubgraph& sg, const Tensor& d_logits) override;
   std::vector<Parameter*> Parameters() override;

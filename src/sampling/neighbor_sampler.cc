@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
 #include <span>
 #include <sstream>
 #include <utility>
@@ -38,25 +37,16 @@ NeighborSampler NeighborSampler::WithRate(double rate, uint32_t num_layers) {
 namespace {
 
 /// Weighted sampling without replacement (Efraimidis–Spirakis keys) of
-/// `k` neighbor positions, with weights given by each neighbor's degree
-/// (or its inverse). `keys` and `picks` are caller-owned scratch reused
-/// across calls; the result is left in `picks`.
+/// `k` < |nbrs| neighbor positions, with weights given by each neighbor's
+/// degree (or its inverse). `keys` and `picks` are caller-owned scratch
+/// reused across calls; the result is left in `picks`. Sample() keeps a
+/// whole neighborhood without drawing, so k == |nbrs| never reaches here.
 // gnndm-hot
 void WeightedPicks(const CsrGraph& graph, std::span<const VertexId> nbrs,
                    uint32_t k, NeighborWeighting weighting, Rng& rng,
                    std::vector<std::pair<double, uint32_t>>& keys,
                    std::vector<uint32_t>& picks) {
   picks.resize(k);
-  if (k == nbrs.size()) {
-    // Keep-everything fast path: no keys, no log() per neighbor — common
-    // on low-degree vertices where the fanout covers the whole
-    // neighborhood. (Callers draw nothing from `rng` on this path, which
-    // is fine: the draw sequence only has to be deterministic, not
-    // identical across code versions — and the full-degree case never
-    // reached the key loop before either, see Sample().)
-    std::iota(picks.begin(), picks.end(), 0u);
-    return;
-  }
   keys.resize(nbrs.size());
   for (uint32_t i = 0; i < nbrs.size(); ++i) {
     const double degree = 1.0 + graph.degree(nbrs[i]);
@@ -119,6 +109,11 @@ SampledSubgraph NeighborSampler::Sample(const CsrGraph& graph,
   sg.node_ids.resize(num_layers + 1);
   sg.layers.resize(num_layers);
   sg.node_ids[num_layers] = seeds;
+  VertexRenumberer& renumber = scratch.renumber;
+  // Draw from a local copy written back once. The byte stores into the
+  // Floyd marks may alias anything, so the caller's generator would
+  // otherwise be reloaded and stored around every draw.
+  Rng local = rng;
 
   // Walk hops from the seeds inward. hops_[0] applies to the seeds (the
   // outermost hop), producing node level num_layers-1, and so on.
@@ -127,56 +122,77 @@ SampledSubgraph NeighborSampler::Sample(const CsrGraph& graph,
     const uint32_t dst_level = num_layers - hop;
     const uint32_t src_level = dst_level - 1;
     const std::vector<VertexId>& dst_ids = sg.node_ids[dst_level];
+    const auto num_dst = static_cast<uint32_t>(dst_ids.size());
 
     // Source level starts with a copy of the destinations (self features
     // must be available for COMBINE), then unique sampled neighbors.
     // Renumbering goes through the timestamped dense id-map: same
     // insertion-order slots the hash map assigned, no hashing, O(1) reset.
+    renumber.Reset(graph.num_vertices());
+    for (uint32_t i = 0; i < num_dst; ++i) {
+      renumber.InsertOrGet(dst_ids[i], i);
+    }
+
+    // Destination i draws exactly SampleCount picks, so the offsets are
+    // their prefix sums and the neighbor array is sized once.
+    SampleLayer& layer = sg.layers[src_level];
+    layer.num_dst = num_dst;
+    layer.offsets.resize(num_dst + 1);
+    layer.offsets[0] = 0;
+    for (uint32_t i = 0; i < num_dst; ++i) {
+      layer.offsets[i + 1] =
+          layer.offsets[i] + SampleCount(spec, graph.degree(dst_ids[i]));
+    }
+    layer.neighbors.resize(layer.offsets[num_dst]);
+
+    // The loop below writes through local pointers and a local copy of the
+    // map's generation: the byte stores of the Floyd marks may alias any
+    // memory, so state reached through a reference would be reloaded on
+    // every pick. The source level grows geometrically, as push_back
+    // would grow it, but once per destination, to room for all k of its
+    // picks: no call is left inside a draw loop.
+    VertexRenumberer::Generation slots = renumber.generation();
+    const VertexId* dst = dst_ids.data();
+    const uint32_t* offsets = layer.offsets.data();
     std::vector<VertexId>& src_ids = sg.node_ids[src_level];
     src_ids = dst_ids;
-    scratch.renumber.Reset(graph.num_vertices());
-    for (uint32_t i = 0; i < dst_ids.size(); ++i) {
-      scratch.renumber.InsertOrGet(dst_ids[i], i);
-    }
-
-    SampleLayer& layer = sg.layers[src_level];
-    layer.num_dst = static_cast<uint32_t>(dst_ids.size());
-    layer.offsets.assign(1, 0);
-    layer.offsets.reserve(dst_ids.size() + 1);
-
-    for (VertexId dst : dst_ids) {
-      auto nbrs = graph.neighbors(dst);
-      const uint32_t degree = static_cast<uint32_t>(nbrs.size());
-      const uint32_t k = SampleCount(spec, degree);
+    VertexId* src = src_ids.data();
+    size_t src_room = src_ids.size();
+    uint32_t num_src = num_dst;
+    uint32_t* out = layer.neighbors.data();
+    for (uint32_t i = 0; i < num_dst; ++i) {
+      const std::span<const VertexId> nbrs = graph.neighbors(dst[i]);
+      const auto degree = static_cast<uint32_t>(nbrs.size());
+      const uint32_t k = offsets[i + 1] - offsets[i];
+      const VertexId* nbr = nbrs.data();
+      if (num_src + k > src_room) {
+        src_room = std::max<size_t>(2 * src_room, num_src + k);
+        src_ids.resize(src_room);
+        src = src_ids.data();
+      }
+      // Renumbers each pick as it is drawn, in draw order: a vertex seen
+      // for the first time joins the source level.
+      const auto emit = [&](uint32_t pick) {
+        const VertexId u = nbr[pick];
+        const auto [slot, inserted] = slots.InsertOrGet(u, num_src);
+        if (inserted) src[num_src++] = u;
+        *out++ = slot;
+      };
       if (k == degree) {
         // Keep the whole neighborhood — no sampling needed.
-        for (VertexId u : nbrs) {
-          auto [slot, inserted] = scratch.renumber.InsertOrGet(
-              u, static_cast<uint32_t>(src_ids.size()));
-          if (inserted) src_ids.push_back(u);
-          layer.neighbors.push_back(slot);
-        }
+        for (uint32_t p = 0; p < degree; ++p) emit(p);
+      } else if (spec.weighting == NeighborWeighting::kUniform) {
+        local.DrawDistinct(degree, k, scratch.picks, scratch.mark, emit);
       } else {
-        if (spec.weighting == NeighborWeighting::kUniform) {
-          rng.SampleWithoutReplacement(degree, k, scratch.picks,
-                                       scratch.mark);
-        } else {
-          WeightedPicks(graph, nbrs, k, spec.weighting, rng, scratch.keys,
-                        scratch.picks);
-        }
-        for (uint32_t pick : scratch.picks) {
-          VertexId u = nbrs[pick];
-          auto [slot, inserted] = scratch.renumber.InsertOrGet(
-              u, static_cast<uint32_t>(src_ids.size()));
-          if (inserted) src_ids.push_back(u);
-          layer.neighbors.push_back(slot);
-        }
+        WeightedPicks(graph, nbrs, k, spec.weighting, local, scratch.keys,
+                      scratch.picks);
+        for (uint32_t pick : scratch.picks) emit(pick);
       }
-      layer.offsets.push_back(
-          static_cast<uint32_t>(layer.neighbors.size()));
     }
-    layer.num_src = static_cast<uint32_t>(src_ids.size());
+    src_ids.resize(num_src);
+    layer.num_src = num_src;
   }
+  rng = local;
   GNNDM_DCHECK_OK(sg.Validate(graph.num_vertices()));
   if (telemetry::Enabled()) {
     // Registry lookups take the registry mutex; resolve the handles once

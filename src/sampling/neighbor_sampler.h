@@ -23,9 +23,9 @@ struct SamplerScratch {
   VertexRenumberer renumber;
   std::vector<std::pair<double, uint32_t>> keys;
   std::vector<uint32_t> picks;
-  /// Floyd membership marks for Rng::SampleWithoutReplacement, indexed by
-  /// neighbour position: all zero between calls, grown to the largest
-  /// degree sampled.
+  /// Floyd membership marks for Rng::DrawDistinct, indexed by neighbour
+  /// position: all zero between calls, grown to the largest degree
+  /// sampled.
   std::vector<uint8_t> mark;
 };
 
@@ -117,10 +117,11 @@ class NeighborSampler {
                          SamplerScratch& scratch) const;
 
   /// Convenience overload using a thread-local scratch: same results,
-  /// zero steady-state allocation, safe to call from any thread. The
-  /// scratch keeps two u32 arrays sized to the largest graph sampled on
-  /// that thread, and a byte array sized to its largest degree, alive
-  /// for the thread's lifetime.
+  /// no steady-state allocation beyond the subgraph itself, safe to call
+  /// from any thread. The scratch keeps an array of 8-byte renumbering
+  /// entries sized to the largest graph sampled on that thread, and a
+  /// byte array sized to its largest degree, alive for the thread's
+  /// lifetime.
   SampledSubgraph Sample(const CsrGraph& graph,
                          const std::vector<VertexId>& seeds, Rng& rng) const;
 

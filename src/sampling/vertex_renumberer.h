@@ -1,7 +1,6 @@
 #ifndef GNNDM_SAMPLING_VERTEX_RENUMBERER_H_
 #define GNNDM_SAMPLING_VERTEX_RENUMBERER_H_
 
-#include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <utility>
@@ -16,10 +15,12 @@ namespace gnndm {
 /// Replaces the per-hop std::unordered_map<VertexId, uint32_t>: lookups
 /// and inserts are a single array access, and Reset() is an O(1)
 /// generation bump instead of a rehash/clear, so steady-state sampling
-/// does no hashing and no heap allocation. The cost is two u32 arrays
-/// sized to the graph's vertex count, kept alive across Sample() calls as
-/// per-sampler scratch — the classic dense-workspace trade every
-/// production sampler makes once graphs fit in memory.
+/// does no hashing and no heap allocation. The cost is one array of
+/// {stamp, slot} pairs sized to the graph's vertex count, kept alive
+/// across Sample() calls as per-sampler scratch — the classic
+/// dense-workspace trade every production sampler makes once graphs fit
+/// in memory. A vertex's stamp and slot share one 8-byte entry, so a
+/// lookup of a random vertex touches one cache line, not two.
 ///
 /// Slot assignment is caller-driven (insertion order), so a sampler
 /// switching to this map assigns exactly the local ids it assigned with
@@ -29,21 +30,47 @@ namespace gnndm {
 /// calling thread (see NeighborSampler::Sample) — which is what lets a
 /// single const sampler be shared by the BatchSource producer workers.
 class VertexRenumberer {
+  struct Entry {
+    uint32_t stamp = 0;
+    uint32_t slot = 0;
+  };
+
  public:
   static constexpr uint32_t kAbsent = std::numeric_limits<uint32_t>::max();
 
+  /// The current generation of the map as a value: the entry array and
+  /// the stamp. A hot loop keeps its copy in registers, where byte stores
+  /// elsewhere in the loop (which may alias any memory) cannot force the
+  /// map's fields to be reloaded on every insert. Valid until the next
+  /// Reset.
+  class Generation {
+   public:
+    /// As VertexRenumberer::InsertOrGet.
+    std::pair<uint32_t, bool> InsertOrGet(VertexId v, uint32_t next_slot) {
+      Entry& entry = entries_[v];
+      if (entry.stamp == stamp_) return {entry.slot, false};
+      entry = {stamp_, next_slot};
+      return {next_slot, true};
+    }
+
+   private:
+    friend class VertexRenumberer;
+    Generation(Entry* entries, uint32_t stamp)
+        : entries_(entries), stamp_(stamp) {}
+
+    Entry* entries_;
+    uint32_t stamp_;
+  };
+
   /// Starts a new empty generation over the id universe [0, num_ids).
-  /// O(1) amortized: grows the arrays on first use or when the graph
+  /// O(1) amortized: grows the array on first use or when the graph
   /// grows, otherwise just bumps the generation stamp.
   void Reset(VertexId num_ids) {
-    if (slot_.size() < num_ids) {
-      slot_.resize(num_ids, 0);
-      stamp_.resize(num_ids, 0);
-    }
+    if (entries_.size() < num_ids) entries_.resize(num_ids);
     if (++epoch_ == 0) {
       // u32 generation wrapped: stale stamps could collide, refill once
       // every ~4 billion resets.
-      std::fill(stamp_.begin(), stamp_.end(), 0u);
+      for (Entry& entry : entries_) entry.stamp = 0;
       epoch_ = 1;
     }
   }
@@ -51,21 +78,15 @@ class VertexRenumberer {
   /// If `v` is absent, inserts it with local id `next_slot` and returns
   /// {next_slot, true}; otherwise returns {existing slot, false}.
   std::pair<uint32_t, bool> InsertOrGet(VertexId v, uint32_t next_slot) {
-    if (stamp_[v] == epoch_) return {slot_[v], false};
-    stamp_[v] = epoch_;
-    slot_[v] = next_slot;
-    return {next_slot, true};
+    return generation().InsertOrGet(v, next_slot);
   }
+
+  Generation generation() { return {entries_.data(), epoch_}; }
 
   /// Set-style membership insert: true if `v` was newly added.
-  bool Insert(VertexId v) {
-    if (stamp_[v] == epoch_) return false;
-    stamp_[v] = epoch_;
-    slot_[v] = 0;
-    return true;
-  }
+  bool Insert(VertexId v) { return InsertOrGet(v, 0).second; }
 
-  bool Contains(VertexId v) const { return stamp_[v] == epoch_; }
+  bool Contains(VertexId v) const { return entries_[v].stamp == epoch_; }
 
   /// Test-only: force the generation counter so a test can exercise the
   /// u32 wraparound refill without 4 billion Reset() calls.
@@ -74,12 +95,11 @@ class VertexRenumberer {
 
   /// Local id of `v`, or kAbsent if not inserted this generation.
   uint32_t Find(VertexId v) const {
-    return stamp_[v] == epoch_ ? slot_[v] : kAbsent;
+    return entries_[v].stamp == epoch_ ? entries_[v].slot : kAbsent;
   }
 
  private:
-  std::vector<uint32_t> slot_;
-  std::vector<uint32_t> stamp_;
+  std::vector<Entry> entries_;
   uint32_t epoch_ = 0;
 };
 

@@ -80,10 +80,12 @@ struct SimdKernels {
   float (*dot)(size_t n, const float* x, const float* y);
 
   // --- sparse-aggregation row primitives ------------------------------
-  /// orow[f] += sum over e in [0,cnt) of src[idx[e]*d + f], edges in
-  /// ascending e order per element (f-vectorized).
-  void (*gather_rows_add)(size_t d, const float* src, const uint32_t* idx,
-                          size_t cnt, float* orow);
+  /// orow[f] += sum over e in [0,cnt) of src[r(idx[e])*d + f], edges in
+  /// ascending e order per element (f-vectorized), where r(i) = map[i],
+  /// or i when `map` is null (a layer reading rows in place through a
+  /// map of row ids; nn/row_view.h).
+  void (*gather_rows_add)(size_t d, const float* src, const uint32_t* map,
+                          const uint32_t* idx, size_t cnt, float* orow);
   /// For e in [0,cnt): t = idx[e]; if lo <= t < hi:
   ///   dsrc[t*d + f] += alpha * grow[f].
   /// The [lo,hi) filter is the destination-partitioned backward shard.

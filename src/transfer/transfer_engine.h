@@ -28,10 +28,13 @@ struct TransferStats {
 };
 
 /// Moves a batch's input feature rows host→device. The data path is real
-/// (Gather fills the tensor the NN consumes, done by the BatchSource
-/// producer); only the PCIe/DMA timing is simulated per the DeviceModel,
-/// by Cost. Rows present in `cache` cost nothing to move — they already
-/// reside in GPU memory.
+/// and follows the engine: an engine that extracts() has the BatchSource
+/// producer Gather each batch's rows into a staging tensor, its CPU
+/// extract stage, and the NN reads that tensor; under the others the NN's
+/// first layer reads the rows in place from the feature matrix, as GPU
+/// threads read host memory under zero-copy. Only the PCIe/DMA timing is
+/// simulated per the DeviceModel, by Cost. Rows present in `cache` cost
+/// nothing to move — they already reside in GPU memory.
 class TransferEngine {
  public:
   virtual ~TransferEngine() = default;
@@ -43,6 +46,11 @@ class TransferEngine {
                              const FeatureCache* cache) const = 0;
 
   virtual std::string name() const = 0;
+
+  /// True when the CPU gathers each batch's rows into a staging buffer
+  /// before they move: the "Extract" stage that Cost charges as
+  /// extract_seconds.
+  virtual bool extracts() const = 0;
 
   /// Functional gather of feature rows into a dense tensor: row i of
   /// `out` = features of vertices[i], whichever engine moved them.
@@ -61,6 +69,7 @@ class ExtractLoadTransfer : public TransferEngine {
                      const FeatureMatrix& features,
                      const FeatureCache* cache) const override;
   std::string name() const override { return "extract-load"; }
+  bool extracts() const override { return true; }
 
  private:
   DeviceModel device_;
@@ -76,6 +85,7 @@ class ZeroCopyTransfer : public TransferEngine {
                      const FeatureMatrix& features,
                      const FeatureCache* cache) const override;
   std::string name() const override { return "zero-copy"; }
+  bool extracts() const override { return false; }
 
  private:
   DeviceModel device_;
@@ -95,6 +105,7 @@ class HybridTransfer : public TransferEngine {
                      const FeatureMatrix& features,
                      const FeatureCache* cache) const override;
   std::string name() const override { return "hybrid"; }
+  bool extracts() const override { return false; }
 
  private:
   DeviceModel device_;

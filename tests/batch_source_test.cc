@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 
@@ -12,6 +14,7 @@
 #include "graph/dataset.h"
 #include "nn/checkpoint.h"
 #include "nn/model.h"
+#include "nn/row_view.h"
 #include "sampling/neighbor_sampler.h"
 #include "tensor/ops.h"
 #include "tensor/tensor.h"
@@ -33,39 +36,45 @@ class BatchSourceTest : public ::testing::Test {
 
   std::unique_ptr<BatchSource> Make(const NeighborSampler* sampler,
                                     uint64_t seed, size_t workers,
-                                    size_t queue_depth) {
+                                    size_t queue_depth,
+                                    bool stage_input = true) {
     BatchSourceOptions options;
     options.workers = workers;
     options.queue_depth = queue_depth;
     options.seed = seed;
+    options.stage_input = stage_input;
     return MakeBatchSource(dataset_.graph, dataset_.features, batches_,
                            sampler, options);
   }
 
   /// Serializes the full delivered stream — indices, seeds, every sampled
-  /// frontier and bipartite layer, and the gathered feature bytes — so
-  /// equality means byte-identity, the data plane's contract.
+  /// frontier and bipartite layer, and the gathered feature bytes (none
+  /// from a source that does not stage) — so equality means
+  /// byte-identity, the data plane's contract.
   std::string Serialize(BatchSource& source) {
+    std::string blob;
+    while (auto batch = source.Next()) blob += SerializeBatch(*batch);
+    return blob;
+  }
+
+  static std::string SerializeBatch(const PreparedBatch& batch) {
     std::string blob;
     auto append = [&blob](const void* data, size_t bytes) {
       blob.append(static_cast<const char*>(data), bytes);
     };
-    while (auto batch = source.Next()) {
-      append(&batch->index, sizeof(batch->index));
-      append(batch->seeds.data(), batch->seeds.size() * sizeof(VertexId));
-      for (const auto& ids : batch->subgraph.node_ids) {
-        append(ids.data(), ids.size() * sizeof(VertexId));
-      }
-      for (const auto& layer : batch->subgraph.layers) {
-        append(&layer.num_src, sizeof(layer.num_src));
-        append(&layer.num_dst, sizeof(layer.num_dst));
-        append(layer.offsets.data(),
-               layer.offsets.size() * sizeof(uint32_t));
-        append(layer.neighbors.data(),
-               layer.neighbors.size() * sizeof(uint32_t));
-      }
-      append(batch->input.data(), batch->input.size() * sizeof(float));
+    append(&batch.index, sizeof(batch.index));
+    append(batch.seeds.data(), batch.seeds.size() * sizeof(VertexId));
+    for (const auto& ids : batch.subgraph.node_ids) {
+      append(ids.data(), ids.size() * sizeof(VertexId));
     }
+    for (const auto& layer : batch.subgraph.layers) {
+      append(&layer.num_src, sizeof(layer.num_src));
+      append(&layer.num_dst, sizeof(layer.num_dst));
+      append(layer.offsets.data(), layer.offsets.size() * sizeof(uint32_t));
+      append(layer.neighbors.data(),
+             layer.neighbors.size() * sizeof(uint32_t));
+    }
+    append(batch.input.data(), batch.input.size() * sizeof(float));
     return blob;
   }
 
@@ -117,6 +126,38 @@ TEST_F(BatchSourceTest, ByteIdenticalAcrossImplementationsAndKnobs) {
   EXPECT_EQ(inline_blob, Serialize(*Make(&sampler, 29, 8, 16)));
 }
 
+TEST_F(BatchSourceTest, NonStagingSourceDeliversTheStagingSourcesBatches) {
+  // Under zero-copy and hybrid the producers only sample: the same seeds
+  // and subgraphs as a staging source, byte for byte, inline and async,
+  // with no input tensor. The rows the first layer then reads in place
+  // are the rows the staging source gathered.
+  NeighborSampler sampler = NeighborSampler::WithFanouts({5, 5});
+  for (size_t workers : {size_t{0}, size_t{4}}) {
+    SCOPED_TRACE("workers=" + std::to_string(workers));
+    auto staging = Make(&sampler, 37, workers, 3);
+    auto sampling = Make(&sampler, 37, workers, 3, /*stage_input=*/false);
+    size_t delivered = 0;
+    while (auto want = staging->Next()) {
+      std::optional<PreparedBatch> got = sampling->Next();
+      ASSERT_TRUE(got.has_value());
+      EXPECT_TRUE(got->input.empty());
+      const RowView rows = got->InputRows(dataset_.features);
+      ASSERT_EQ(rows.rows(), want->input.rows());
+      for (size_t r = 0; r < rows.rows(); ++r) {
+        ASSERT_EQ(std::memcmp(rows.row(r), want->input.row(r).data(),
+                              want->input.cols() * sizeof(float)),
+                  0)
+            << "row " << r;
+      }
+      want->input = Tensor();
+      EXPECT_EQ(SerializeBatch(*got), SerializeBatch(*want));
+      ++delivered;
+    }
+    EXPECT_FALSE(sampling->Next().has_value());
+    EXPECT_EQ(delivered, batches_.size());
+  }
+}
+
 TEST_F(BatchSourceTest, GatheredFeaturesMatchDirectGather) {
   NeighborSampler sampler = NeighborSampler::WithFanouts({4, 4});
   auto source = Make(&sampler, 23, /*workers=*/2, /*queue_depth=*/2);
@@ -166,8 +207,8 @@ TEST_F(BatchSourceTest, ShutdownMidEpochWithFullReorderBuffer) {
 }
 
 TEST_F(BatchSourceTest, FullGraphBatchIsTheWholeGraph) {
-  const PreparedBatch batch = FullGraphBatch(
-      dataset_.graph, dataset_.features, /*num_layers=*/2);
+  const PreparedBatch batch =
+      FullGraphBatch(dataset_.graph, /*num_layers=*/2);
   const VertexId n = dataset_.graph.num_vertices();
   EXPECT_EQ(batch.index, 0u);
   EXPECT_EQ(batch.seeds.size(), n);
@@ -178,8 +219,24 @@ TEST_F(BatchSourceTest, FullGraphBatchIsTheWholeGraph) {
   ASSERT_EQ(batch.subgraph.layers.size(), 2u);
   EXPECT_EQ(batch.subgraph.layers[0].neighbors.size(),
             dataset_.graph.num_edges());
-  EXPECT_EQ(batch.input.rows(), n);
-  EXPECT_EQ(batch.input.rows(), batch.subgraph.input_vertices().size());
+  // Nothing is staged: the first layer reads every feature row in place.
+  EXPECT_TRUE(batch.input.empty());
+  const RowView rows = batch.InputRows(dataset_.features);
+  ASSERT_EQ(rows.rows(), n);
+  for (VertexId v = 0; v < n; ++v) {
+    ASSERT_EQ(rows.row(v), dataset_.features.row(v).data()) << v;
+  }
+}
+
+TEST_F(BatchSourceTest, FullGraphBatchOfAZeroHopModelIsTheVertexList) {
+  // The MLP baseline has no hops: one level of every vertex, no layers.
+  const PreparedBatch batch =
+      FullGraphBatch(dataset_.graph, /*num_layers=*/0);
+  const VertexId n = dataset_.graph.num_vertices();
+  ASSERT_EQ(batch.subgraph.node_ids.size(), 1u);
+  EXPECT_EQ(batch.subgraph.seeds().size(), n);
+  EXPECT_TRUE(batch.subgraph.layers.empty());
+  EXPECT_TRUE(batch.subgraph.Validate(n).ok());
 }
 
 ModelConfig SmallModelConfig() {

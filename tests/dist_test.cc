@@ -177,10 +177,11 @@ TEST_F(DistTrainerTest, LoaderWorkersAreByteIdentical) {
     std::vector<DistEpochStats> epochs;
     double val_accuracy = 0.0;
   };
-  auto run = [&](size_t loader_workers) {
+  auto run = [&](const char* transfer, size_t loader_workers) {
     TrainerConfig config = SmallConfig();
     config.cache_policy = "presample";
     config.cache_ratio = 0.2;
+    config.transfer = transfer;
     config.loader_workers = loader_workers;
     config.async_queue_depth = 2;
     DistTrainer trainer(dataset_, partition, config);
@@ -189,39 +190,53 @@ TEST_F(DistTrainerTest, LoaderWorkersAreByteIdentical) {
     out.val_accuracy = trainer.Evaluate(dataset_.split.val);
     return out;
   };
-  const Run inline_run = run(0);
-  for (size_t loader_workers : {size_t{1}, size_t{4}}) {
-    SCOPED_TRACE("loader_workers=" + std::to_string(loader_workers));
-    const Run async_run = run(loader_workers);
-    ASSERT_EQ(async_run.epochs.size(), inline_run.epochs.size());
-    for (size_t e = 0; e < inline_run.epochs.size(); ++e) {
-      const DistEpochStats& a = inline_run.epochs[e];
-      const DistEpochStats& b = async_run.epochs[e];
-      EXPECT_EQ(a.epoch, b.epoch);
-      EXPECT_EQ(a.train_loss, b.train_loss);
-      EXPECT_EQ(a.epoch_seconds, b.epoch_seconds);
-      ASSERT_EQ(a.workers.size(), b.workers.size());
-      for (size_t w = 0; w < a.workers.size(); ++w) {
-        EXPECT_EQ(a.workers[w].seconds, b.workers[w].seconds) << w;
-        EXPECT_EQ(a.workers[w].remote_feature_bytes,
-                  b.workers[w].remote_feature_bytes) << w;
-        EXPECT_EQ(a.workers[w].remote_structure_bytes,
-                  b.workers[w].remote_structure_bytes) << w;
-        EXPECT_EQ(a.workers[w].batches, b.workers[w].batches) << w;
-        EXPECT_EQ(a.workers[w].sampled_edges, b.workers[w].sampled_edges)
-            << w;
-        EXPECT_EQ(a.workers[w].rows_from_cache, b.workers[w].rows_from_cache)
-            << w;
-      }
-      EXPECT_EQ(a.attribution.batches, b.attribution.batches);
-      EXPECT_EQ(a.attribution.sample, b.attribution.sample);
-      EXPECT_EQ(a.attribution.extract, b.attribution.extract);
-      EXPECT_EQ(a.attribution.load, b.attribution.load);
-      EXPECT_EQ(a.attribution.compute, b.attribution.compute);
-      EXPECT_EQ(a.attribution.pipeline_seconds,
-                b.attribution.pipeline_seconds);
+  // Extract-load producers sample and stage the rows; zero-copy
+  // producers only sample, and the first layer reads the rows in place,
+  // training the same model.
+  std::vector<double> staged_losses;
+  for (const char* transfer : {"extract-load", "zero-copy"}) {
+    const Run inline_run = run(transfer, 0);
+    std::vector<double> losses;
+    for (const DistEpochStats& epoch : inline_run.epochs) {
+      losses.push_back(epoch.train_loss);
     }
-    EXPECT_EQ(async_run.val_accuracy, inline_run.val_accuracy);
+    losses.push_back(inline_run.val_accuracy);
+    if (staged_losses.empty()) staged_losses = losses;
+    EXPECT_EQ(losses, staged_losses) << transfer;
+    for (size_t loader_workers : {size_t{1}, size_t{4}}) {
+      SCOPED_TRACE(std::string(transfer) +
+                   " loader_workers=" + std::to_string(loader_workers));
+      const Run async_run = run(transfer, loader_workers);
+      ASSERT_EQ(async_run.epochs.size(), inline_run.epochs.size());
+      for (size_t e = 0; e < inline_run.epochs.size(); ++e) {
+        const DistEpochStats& a = inline_run.epochs[e];
+        const DistEpochStats& b = async_run.epochs[e];
+        EXPECT_EQ(a.epoch, b.epoch);
+        EXPECT_EQ(a.train_loss, b.train_loss);
+        EXPECT_EQ(a.epoch_seconds, b.epoch_seconds);
+        ASSERT_EQ(a.workers.size(), b.workers.size());
+        for (size_t w = 0; w < a.workers.size(); ++w) {
+          EXPECT_EQ(a.workers[w].seconds, b.workers[w].seconds) << w;
+          EXPECT_EQ(a.workers[w].remote_feature_bytes,
+                    b.workers[w].remote_feature_bytes) << w;
+          EXPECT_EQ(a.workers[w].remote_structure_bytes,
+                    b.workers[w].remote_structure_bytes) << w;
+          EXPECT_EQ(a.workers[w].batches, b.workers[w].batches) << w;
+          EXPECT_EQ(a.workers[w].sampled_edges, b.workers[w].sampled_edges)
+              << w;
+          EXPECT_EQ(a.workers[w].rows_from_cache, b.workers[w].rows_from_cache)
+              << w;
+        }
+        EXPECT_EQ(a.attribution.batches, b.attribution.batches);
+        EXPECT_EQ(a.attribution.sample, b.attribution.sample);
+        EXPECT_EQ(a.attribution.extract, b.attribution.extract);
+        EXPECT_EQ(a.attribution.load, b.attribution.load);
+        EXPECT_EQ(a.attribution.compute, b.attribution.compute);
+        EXPECT_EQ(a.attribution.pipeline_seconds,
+                  b.attribution.pipeline_seconds);
+      }
+      EXPECT_EQ(async_run.val_accuracy, inline_run.val_accuracy);
+    }
   }
 }
 

@@ -7,7 +7,11 @@
 # (--full_batch) holds across threads and telemetry too. The same holds
 # across SIMD tiers: a scalar run and an auto run. Every run saves its
 # checkpoint, which must be byte-identical (cmp) to its baseline's, and
-# prints the same training lines. Run by ctest as `loader_cli_identity`.
+# prints the same training lines. Zero-copy runs, whose producers only
+# sample while the first layer reads the feature rows in place, train the
+# same model as their extract-load baselines, which stage the rows: the
+# same checkpoint, loss and accuracy. Run by ctest as
+# `loader_cli_identity`.
 set -euo pipefail
 
 TRAIN_BIN="${1:?usage: loader_identity.sh <path-to-gnndm_train>}"
@@ -50,6 +54,11 @@ run full_baseline --full_batch
 run full_t4 --full_batch --threads=4
 run full_notelemetry --full_batch --telemetry=0
 
+# Zero-copy: no staging copy, the same model as extract-load.
+run zc_baseline --transfer=zero-copy
+run zc_dist --transfer=zero-copy --workers=4 --loader-workers=2
+run zc_full --transfer=zero-copy --full_batch
+
 # SIMD tiers: --hidden=48 GraphSAGE GEMMs reach the widest register
 # block (32 columns) and its 16-column edge, which --hidden=16 never does.
 run sage_scalar --model=graphsage --hidden=48 --simd=scalar
@@ -78,6 +87,26 @@ compare() {
   fi
 }
 
+# Like compare, for a run under another transfer engine: its virtual
+# epoch seconds and stage shares follow the engine's cost model, so only
+# the loss, accuracy and checkpoint must match.
+compare_model() {
+  local baseline="$1" variant="$2"
+  local keep='s/^(epoch +[0-9]+ +loss [^ ]+ +val [^ ]+).*/\1/'
+  grep -E '^(epoch|test accuracy)' "${WORKDIR}/${baseline}.out" |
+    sed -E "${keep}" > "${WORKDIR}/${baseline}.model"
+  grep -E '^(epoch|test accuracy)' "${WORKDIR}/${variant}.out" |
+    sed -E "${keep}" > "${WORKDIR}/${variant}.model"
+  if ! diff -u "${WORKDIR}/${baseline}.model" "${WORKDIR}/${variant}.model"; then
+    echo "FAIL: ${variant} trained differently from ${baseline}" >&2
+    status=1
+  fi
+  if ! cmp "${WORKDIR}/${baseline}.gnck" "${WORKDIR}/${variant}.gnck"; then
+    echo "FAIL: ${variant} checkpoint differs from ${baseline}'s" >&2
+    status=1
+  fi
+}
+
 for variant in w1_d1 w4_d1 w4_d16 w8_d16 w4_t4 w2_notelemetry; do
   compare baseline "${variant}"
 done
@@ -89,8 +118,11 @@ for variant in full_t4 full_notelemetry; do
   compare full_baseline "${variant}"
 done
 compare sage_scalar sage_auto
+compare_model baseline zc_baseline
+compare_model dist_baseline zc_dist
+compare_model full_baseline zc_full
 
 if [[ ${status} -eq 0 ]]; then
-  echo "PASS: checkpoints and training output byte-identical across loader configurations, threads, telemetry and SIMD tiers, full-batch included"
+  echo "PASS: checkpoints and training output byte-identical across loader configurations, threads, telemetry, SIMD tiers and transfer engines, full-batch included"
 fi
 exit ${status}

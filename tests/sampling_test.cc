@@ -172,6 +172,171 @@ TEST(NeighborSamplerTest, HybridSampleOnHubsIsPinned) {
   EXPECT_EQ(hash, 0xbd5d2e1f85a03f17ull) << std::hex << "hash 0x" << hash;
 }
 
+/// Which draw path each destination of a reference sample took.
+struct PathCounts {
+  uint64_t keep_all = 0;
+  uint64_t floyd = 0;
+  uint64_t fisher_yates = 0;
+  uint64_t weighted = 0;
+};
+
+/// NeighborSampler's size rule, restated: the reference must not borrow
+/// the code under test.
+uint32_t ReferenceSampleCount(const HopSpec& spec, uint32_t degree) {
+  if (degree == 0) return 0;
+  const bool by_rate =
+      spec.mode == SampleSizeMode::kRate ||
+      (spec.mode == SampleSizeMode::kHybrid &&
+       degree > spec.hybrid_degree_threshold);
+  if (!by_rate) return std::min(spec.fanout, degree);
+  const auto k = static_cast<uint32_t>(
+      std::ceil(spec.rate * static_cast<double>(degree)));
+  return std::clamp<uint32_t>(k, 1, degree);
+}
+
+/// The sampler's per-hop loop as it was before picks were renumbered as
+/// they are drawn: each destination's picks are drawn in full first
+/// (Rng::SampleWithoutReplacement, or Efraimidis–Spirakis keys), then
+/// renumbered in pick order through a map of two arrays, a stamp and a
+/// slot per vertex. NeighborSampler::Sample must match it draw for draw.
+SampledSubgraph ReferenceSample(const CsrGraph& graph,
+                                const std::vector<HopSpec>& hops,
+                                const std::vector<VertexId>& seeds, Rng& rng,
+                                PathCounts& paths) {
+  const auto num_layers = static_cast<uint32_t>(hops.size());
+  SampledSubgraph sg;
+  sg.node_ids.resize(num_layers + 1);
+  sg.layers.resize(num_layers);
+  sg.node_ids[num_layers] = seeds;
+  std::vector<uint32_t> stamp(graph.num_vertices(), 0);
+  std::vector<uint32_t> slot(graph.num_vertices(), 0);
+  uint32_t epoch = 0;
+  std::vector<uint32_t> picks;
+  std::vector<uint8_t> mark;
+  std::vector<std::pair<double, uint32_t>> keys;
+  for (uint32_t hop = 0; hop < num_layers; ++hop) {
+    const HopSpec& spec = hops[hop];
+    const uint32_t dst_level = num_layers - hop;
+    const std::vector<VertexId>& dst_ids = sg.node_ids[dst_level];
+    std::vector<VertexId>& src_ids = sg.node_ids[dst_level - 1];
+    src_ids = dst_ids;
+    ++epoch;
+    auto renumber = [&](VertexId v) {
+      if (stamp[v] != epoch) {
+        stamp[v] = epoch;
+        slot[v] = static_cast<uint32_t>(src_ids.size());
+        src_ids.push_back(v);
+      }
+      return slot[v];
+    };
+    for (uint32_t i = 0; i < dst_ids.size(); ++i) {
+      stamp[dst_ids[i]] = epoch;
+      slot[dst_ids[i]] = i;
+    }
+    SampleLayer& layer = sg.layers[dst_level - 1];
+    layer.num_dst = static_cast<uint32_t>(dst_ids.size());
+    layer.offsets.assign(1, 0);
+    for (VertexId dst : dst_ids) {
+      const auto nbrs = graph.neighbors(dst);
+      const auto degree = static_cast<uint32_t>(nbrs.size());
+      const uint32_t k = ReferenceSampleCount(spec, degree);
+      if (k == degree) {
+        ++paths.keep_all;
+        for (VertexId u : nbrs) layer.neighbors.push_back(renumber(u));
+      } else {
+        if (spec.weighting == NeighborWeighting::kUniform) {
+          if (3 * k < degree) {
+            ++paths.floyd;
+          } else {
+            ++paths.fisher_yates;
+          }
+          rng.SampleWithoutReplacement(degree, k, picks, mark);
+        } else {
+          ++paths.weighted;
+          keys.resize(degree);
+          for (uint32_t i = 0; i < degree; ++i) {
+            const double d = 1.0 + graph.degree(nbrs[i]);
+            const double weight =
+                spec.weighting == NeighborWeighting::kDegreeProportional
+                    ? d
+                    : 1.0 / (d * d);
+            double u = rng.UniformReal();
+            if (u <= 0.0) u = 1e-300;
+            keys[i] = {-std::log(u) / weight, i};
+          }
+          std::partial_sort(keys.begin(), keys.begin() + k, keys.end());
+          picks.resize(k);
+          for (uint32_t i = 0; i < k; ++i) picks[i] = keys[i].second;
+        }
+        for (uint32_t pick : picks) {
+          layer.neighbors.push_back(renumber(nbrs[pick]));
+        }
+      }
+      layer.offsets.push_back(static_cast<uint32_t>(layer.neighbors.size()));
+    }
+    layer.num_src = static_cast<uint32_t>(src_ids.size());
+  }
+  return sg;
+}
+
+// The one-pass hop loop (a register copy of the Rng, picks renumbered as
+// drawn, outputs sized once) against the reference above: fanout, rate
+// and hybrid hops under every weighting, on a power-law graph whose hubs
+// reach Floyd (3k < degree), whose mid-degree vertices reach the dense
+// Fisher–Yates draw and whose tail keeps whole neighborhoods.
+TEST(NeighborSamplerTest, OnePassLoopMatchesReferenceDrawForDraw) {
+  CommunityGraph cg = GeneratePowerLawCommunity(3000, 6, 10.0, 2.0, 41);
+  const std::vector<std::vector<HopSpec>> sizes = {
+      {HopSpec::Fanout(5), HopSpec::Fanout(3)},
+      {HopSpec::Rate(0.2), HopSpec::Rate(0.5)},
+      {HopSpec::Hybrid(4, 0.3, 12), HopSpec::Hybrid(6, 0.25, 20)},
+  };
+  PathCounts paths;
+  for (NeighborWeighting weighting :
+       {NeighborWeighting::kUniform, NeighborWeighting::kDegreeProportional,
+        NeighborWeighting::kInverseDegree}) {
+    for (std::vector<HopSpec> hops : sizes) {
+      for (HopSpec& spec : hops) spec.weighting = weighting;
+      const NeighborSampler sampler(hops);
+      for (uint64_t seed = 1; seed <= 50; ++seed) {
+        SCOPED_TRACE(sampler.ToString() + " weighting " +
+                     std::to_string(static_cast<int>(weighting)) +
+                     " seed " + std::to_string(seed));
+        // Vertices 0..5 are the community hubs: every fifth run starts
+        // from three of them.
+        std::vector<VertexId> seeds;
+        if (seed % 5 == 0) seeds = {0, 1, 2};
+        Rng pick(seed * 7919);
+        for (int i = 0; i < 24; ++i) {
+          const auto v =
+              static_cast<VertexId>(pick.UniformInt(cg.graph.num_vertices()));
+          if (std::find(seeds.begin(), seeds.end(), v) == seeds.end()) {
+            seeds.push_back(v);
+          }
+        }
+        Rng rng(seed);
+        Rng reference_rng(seed);
+        const SampledSubgraph got = sampler.Sample(cg.graph, seeds, rng);
+        const SampledSubgraph want =
+            ReferenceSample(cg.graph, hops, seeds, reference_rng, paths);
+        ASSERT_EQ(got.node_ids, want.node_ids);
+        ASSERT_EQ(got.layers.size(), want.layers.size());
+        for (size_t l = 0; l < want.layers.size(); ++l) {
+          EXPECT_EQ(got.layers[l].num_src, want.layers[l].num_src) << l;
+          EXPECT_EQ(got.layers[l].num_dst, want.layers[l].num_dst) << l;
+          ASSERT_EQ(got.layers[l].offsets, want.layers[l].offsets) << l;
+          ASSERT_EQ(got.layers[l].neighbors, want.layers[l].neighbors) << l;
+        }
+        ASSERT_EQ(rng.Next(), reference_rng.Next());
+      }
+    }
+  }
+  EXPECT_GT(paths.keep_all, 0u);
+  EXPECT_GT(paths.floyd, 0u);
+  EXPECT_GT(paths.fisher_yates, 0u);
+  EXPECT_GT(paths.weighted, 0u);
+}
+
 TEST(NeighborSamplerTest, DeduplicatesSharedNeighbors) {
   // Two seeds sharing all neighbors: the shared vertices must appear once
   // (the paper's V7 example).

@@ -90,10 +90,13 @@ std::unique_ptr<Partitioner> MakePartitioner(const std::string& name) {
   return nullptr;
 }
 
-PipelineMode ParsePipeline(const std::string& name) {
+/// The --pipeline mode; an error for a name that is not one.
+Result<PipelineMode> ParsePipeline(const std::string& name) {
+  if (name == "none") return PipelineMode::kNone;
   if (name == "bp") return PipelineMode::kOverlapBp;
   if (name == "bp-dt") return PipelineMode::kOverlapBpDt;
-  return PipelineMode::kNone;
+  return Status::InvalidArgument("'" + name +
+                                 "' is not one of none, bp, bp-dt");
 }
 
 /// The --report output: per-epoch stall attribution plus the
@@ -164,39 +167,20 @@ int Main(int argc, char** argv) {
     flight_recorder::InstallCrashHandlers();
   }
 
-  // Apply kernel threading before any compute (--workers partitions the
-  // graph before its trainer applies config.num_threads).
-  if (flags.Has("threads")) {
-    SetComputeThreads(static_cast<size_t>(flags.GetInt("threads", 0)));
-  }
-
-  // Pin the SIMD tier before any kernel runs. Purely a speed knob: every
-  // tier produces byte-identical results (fixed 8-lane reduction order).
-  if (Status simd_status =
-          SetSimdTierByName(flags.GetString("simd", "auto"));
-      !simd_status.ok()) {
-    std::fprintf(stderr, "--simd: %s\n", simd_status.ToString().c_str());
-    return 2;
-  }
+  // --- Config. Every flag is parsed, and a malformed value rejected
+  // with exit 2, before anything is loaded or trained. ---
   Result<std::vector<HopSpec>> hops = ParseHops(flags);
   if (!hops.ok()) {
     std::fprintf(stderr, "--fanouts: %s\n", hops.status().ToString().c_str());
     return 2;
   }
-
-  // --- Dataset ---
-  Result<Dataset> dataset = flags.Has("dataset_file")
-                                ? LoadDatasetFile(flags.GetString(
-                                      "dataset_file", ""))
-                                : LoadDataset(
-                                      flags.GetString("dataset", "reddit_s"),
-                                      flags.GetInt("seed", 42));
-  if (!dataset.ok()) {
-    std::fprintf(stderr, "error: %s\n", dataset.status().ToString().c_str());
-    return 1;
+  Result<PipelineMode> pipeline =
+      ParsePipeline(flags.GetString("pipeline", "none"));
+  if (!pipeline.ok()) {
+    std::fprintf(stderr, "--pipeline: %s\n",
+                 pipeline.status().ToString().c_str());
+    return 2;
   }
-
-  // --- Config ---
   TrainerConfig config;
   config.model = flags.GetString("model", "gcn");
   config.hidden_dim = static_cast<size_t>(flags.GetInt("hidden", 32));
@@ -214,7 +198,7 @@ int Main(int argc, char** argv) {
   config.adaptive_max =
       static_cast<uint32_t>(flags.GetInt("adaptive_max", 1024));
   config.transfer = flags.GetString("transfer", "extract-load");
-  config.pipeline = ParsePipeline(flags.GetString("pipeline", "none"));
+  config.pipeline = pipeline.value();
   config.cache_policy = flags.GetString("cache", "none");
   config.cache_ratio = flags.GetDouble("cache_ratio", 0.0);
   config.loader_workers =
@@ -232,6 +216,35 @@ int Main(int argc, char** argv) {
 
   const auto epochs = static_cast<uint32_t>(flags.GetInt("epochs", 10));
   const auto workers = static_cast<uint32_t>(flags.GetInt("workers", 1));
+  if (Status status = flags.status(); !status.ok()) {
+    std::fprintf(stderr, "%s\n", status.message().c_str());
+    return 2;
+  }
+
+  // Apply kernel threading before any compute (--workers partitions the
+  // graph before its trainer applies config.num_threads).
+  if (flags.Has("threads")) SetComputeThreads(config.num_threads);
+
+  // Pin the SIMD tier before any kernel runs. Purely a speed knob: every
+  // tier produces byte-identical results (fixed 8-lane reduction order).
+  if (Status simd_status =
+          SetSimdTierByName(flags.GetString("simd", "auto"));
+      !simd_status.ok()) {
+    std::fprintf(stderr, "--simd: %s\n", simd_status.ToString().c_str());
+    return 2;
+  }
+
+  // --- Dataset ---
+  Result<Dataset> dataset = flags.Has("dataset_file")
+                                ? LoadDatasetFile(flags.GetString(
+                                      "dataset_file", ""))
+                                : LoadDataset(
+                                      flags.GetString("dataset", "reddit_s"),
+                                      config.seed);
+  if (!dataset.ok()) {
+    std::fprintf(stderr, "error: %s\n", dataset.status().ToString().c_str());
+    return 1;
+  }
 
   std::printf("dataset=%s |V|=%u |E|=%llu classes=%u train=%zu\n",
               dataset->name.c_str(), dataset->graph.num_vertices(),
